@@ -13,22 +13,22 @@ Ker P_N, i.e. modes m <= N+1 of the restriction vanish.  Counting modes:
 per mode it assembles the finite two-term recursion of the operator
 (k <= k_max) plus, when the mode is constrained, a boundary row pinning the
 tail-window mean to zero, and counts numerical null directions by singular
-values under the threshold/gap rule.  Kernel and cokernel never overlap and
-the increment in N is one mode at a time, so the sweep is a discrete
-spectral-flow picture.
+values under the threshold/gap rule, in O(k_max) per mode: the recursion
+is bidiagonal and the boundary row a border (``nullity.count_null_bidiagonal``;
+the tests check it against the SVD of ``_mode_matrix``).  Kernel and
+cokernel never overlap and the increment in N is one mode at a time, so the
+sweep is a discrete spectral-flow picture.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement
-from .nullity import GAP_RATIO, THRESHOLD_SCALE, count_null_dense
+from .nullity import GAP_RATIO, THRESHOLD_SCALE, count_null_bidiagonal
 from .parametrix import apply_Q
 from .report import IllConditionedError
 from .weights import WeightPair
@@ -42,16 +42,7 @@ __all__ = [
     "index_numeric",
     "APSSolution",
     "solve_aps",
-    "thread_count",
 ]
-
-
-def thread_count() -> int:
-    """Worker cap from QDISK_THREADS (default 1: fully deterministic path)."""
-    try:
-        return max(1, int(os.environ.get("QDISK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -87,46 +78,50 @@ def index_analytic(p: APSProjection) -> IndexCounts:
     return IndexCounts(dim_ker, dim_coker, dim_ker - dim_coker)
 
 
-def _recursion_matrix(w: WeightPair, side: str, m: int, k_max: int) -> np.ndarray:
-    """Finite homogeneous recursion of D (side 'ker') or D̄ (side 'coker')
-    at mode m: rows are the two-term relations for k <= k_max."""
-    ks = np.arange(k_max + 1)
-    if side == "ker":
-        if m >= 0:
-            rows = np.zeros((k_max, k_max + 1))
-            kk = ks[:-1]
-            rows[kk, kk] = w.b_at(kk + m)
-            rows[kk, kk + 1] = -w.b_at(kk)
-        else:
-            n = -m
-            rows = np.zeros((k_max + 1, k_max + 1))
-            rows[ks, ks] = -w.b_at(ks + n - 1)
-            rows[ks[1:], ks[1:] - 1] = w.b_at(ks[1:] - 1)
-    elif side == "coker":
-        if m <= 0:
-            n = -m
-            rows = np.zeros((k_max, k_max + 1))
-            kk = ks[:-1]
-            rows[kk, kk + 1] = w.b_at(kk)
-            rows[kk, kk] = -w.b_at(kk + n)
-        else:
-            n = m
-            rows = np.zeros((k_max + 1, k_max + 1))
-            rows[ks, ks] = w.b_at(ks + n - 1)
-            rows[ks[1:], ks[1:] - 1] = -w.b_at(ks[1:] - 1)
-    else:
+def _mode_bands(w: WeightPair, side: str, m: int, k_max: int, window: int,
+                constrained: bool):
+    """Per-mode system of D (side 'ker') or D̄ (side 'coker') at mode m, as
+    the arguments (diag, upper, rows, cols, border) of
+    ``count_null_bidiagonal``.
+
+    Rows are the two-term relations for k <= k_max.  When they form a square
+    lower-bidiagonal matrix, rows and columns are both reversed, which keeps
+    every row (so the row equilibration) and makes it upper bidiagonal.  A
+    constrained mode adds the boundary row pinning the tail-window mean,
+    entries 1/sqrt(window): the unit row that equilibration makes of it.
+    """
+    if side not in ("ker", "coker"):
         raise ValueError(f"side must be 'ker' or 'coker', got {side!r}")
-    return rows
+    ks = np.arange(k_max + 1)
+    n = abs(m)
+    sign = 1.0 if side == "ker" else -1.0
+    tail = np.arange(k_max - window + 1, k_max + 1)
+    if (m >= 0) if side == "ker" else (m <= 0):
+        # B(k+n) c(k) - B(k) c(k+1) = 0 (D, m >= 0; sign flipped for D̄)
+        diag = sign * w.b_at(ks[:-1] + n)
+        upper = -sign * w.b_at(ks[:-1])
+        rows = k_max
+    else:
+        # -B(k+n-1) c(k) + B(k-1) c(k-1) = 0 (D, m < 0; sign flipped for D̄)
+        diag = -sign * w.b_at(ks + n - 1)[::-1]
+        upper = sign * w.b_at(ks[:-1])[::-1]
+        rows = k_max + 1
+        tail = k_max - tail
+    border = (tail, np.full(window, window ** -0.5)) if constrained else None
+    return diag, upper, rows, k_max + 1, border
 
 
 def _mode_matrix(w: WeightPair, side: str, m: int, k_max: int,
                  window: int, constrained: bool) -> np.ndarray:
-    rows = _recursion_matrix(w, side, m, k_max)
+    """Dense matrix of ``_mode_bands``, the oracle for the structured count."""
+    diag, upper, rows, cols, border = _mode_bands(w, side, m, k_max, window,
+                                                  constrained)
+    mat = np.zeros((rows + constrained, cols))
+    mat[np.arange(len(diag)), np.arange(len(diag))] = diag
+    mat[np.arange(len(upper)), np.arange(1, len(upper) + 1)] = upper
     if constrained:
-        bc = np.zeros((1, k_max + 1))
-        bc[0, k_max - window + 1:] = 1.0 / window
-        rows = np.vstack([rows, bc])
-    return rows
+        mat[rows, border[0]] = border[1]
+    return mat
 
 
 @dataclass
@@ -145,16 +140,14 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
                   window: int | None = None,
                   threshold_scale: float = THRESHOLD_SCALE,
                   gap: float = GAP_RATIO,
-                  cache: dict | None = None,
-                  threads: int | None = None) -> NumericIndex:
+                  cache: dict | None = None) -> NumericIndex:
     """Independent index computation via truncated per-mode linear systems.
 
     The boundary row constrains the tail-window mean (window = k_max // 16,
     at least 8 — smaller truncations cannot support the gap criterion and
     raise IllConditionedError).  ``cache`` may be shared across calls with
     the same weights/k_max to reuse per-(side, mode, constrained) counts
-    during sweeps; mode results are reduced in fixed order regardless of
-    the thread count.
+    during sweeps.
     """
     n = p.cutoff
     if mode_range is None:
@@ -175,21 +168,13 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
     for m in range(lo, hi + 1):
         jobs.append(("ker", m, m > n))
         jobs.append(("coker", m, m <= n + 1))
-    todo = [j for j in set(jobs) if j not in cache]
-
-    def _solve(job):
+    for job in sorted(set(jobs) - cache.keys()):
         side, m, constrained = job
-        mat = _mode_matrix(w, side, m, k_max, window, constrained)
-        return job, count_null_dense(mat, k_max, threshold_scale, gap)
-
-    workers = threads if threads is not None else thread_count()
-    if workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for job, res in pool.map(_solve, sorted(todo)):
-                cache[job] = res
-    else:
-        for job in sorted(todo):
-            cache[job] = _solve(job)[1]
+        diag, upper, rows, cols, border = _mode_bands(w, side, m, k_max,
+                                                      window, constrained)
+        cache[job] = count_null_bidiagonal(diag, upper, rows, cols, k_max,
+                                           threshold_scale=threshold_scale,
+                                           gap=gap, border=border)
 
     per_mode = []
     dim_ker = 0

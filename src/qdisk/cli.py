@@ -3,8 +3,7 @@
 Subcommands run the library's verification suites and emit JSON/CSV
 reports.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 3 numerical conditioning failure.  Given a fixed --seed, reports are
-byte-for-byte reproducible (no timestamps).  QDISK_THREADS caps the worker
-pool used by the index sweeps.
+byte-for-byte reproducible (no timestamps).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .aps import APSProjection, index_analytic, index_numeric, thread_count
+from .aps import APSProjection, index_numeric
 from .classical import index_classical
 from .element import random_element
 from .hilbert import integration_by_parts_residual, norm_fourier
@@ -69,13 +68,12 @@ def cmd_index_sweep(args: argparse.Namespace) -> int:
     failures = 0
     try:
         if args.variant in ("nc", "both"):
-            threads = thread_count()
             for mu in mus:
                 w = quantum_disk_weights(mu, args.scale)
                 cache: dict = {}
                 for n in range(args.nmin, args.nmax + 1):
                     res = index_numeric(w, APSProjection(n), args.kmax,
-                                        cache=cache, threads=threads)
+                                        cache=cache)
                     rows.append({
                         "variant": "nc", "N": n, "mu": mu, "K_max": args.kmax,
                         "dim_ker": res.dim_ker, "dim_coker": res.dim_coker,

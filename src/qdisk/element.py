@@ -68,10 +68,10 @@ class ToeplitzElement:
     modes: dict[int, np.ndarray] = field(default_factory=dict)
     tails: dict[int, complex] = field(default_factory=dict)
     tail_start: int = 0
-    k_valid: int = -1  # -1 sentinel: replaced by k_max in __post_init__
+    k_valid: int | None = None  # None: all of k <= k_max; -1: none valid
 
     def __post_init__(self):
-        if self.k_valid < 0:
+        if self.k_valid is None:
             object.__setattr__(self, "k_valid", self.k_max)
 
     def coeff(self, m: int) -> np.ndarray:
@@ -166,7 +166,7 @@ class ToeplitzElement:
                 entry["tail"] = [t.real, t.imag]
             entries.append(entry)
         return {"K_max": self.k_max, "tail_start": self.tail_start,
-                "modes": entries}
+                "k_valid": self.k_valid, "modes": entries}
 
     @staticmethod
     def from_json_dict(data: dict) -> "ToeplitzElement":
@@ -181,7 +181,8 @@ class ToeplitzElement:
                 re, im = entry["tail"]
                 tails[m] = complex(re, im)
         return ToeplitzElement(k_max, modes, tails,
-                               int(data.get("tail_start", 0)))
+                               int(data.get("tail_start", 0)),
+                               int(data.get("k_valid", k_max)))
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def apply_D(a: ToeplitzElement, w: WeightPair) -> ToeplitzElement:
                                 - w.b_at(ks + n - 1) * c)
         modes[m + 1] = modes.get(m + 1, 0.0) + out
     k_valid = a.k_valid - int(_needs_shrink(a, lambda m: m >= 0))
-    return ToeplitzElement(a.k_max, modes, {}, a.tail_start, max(k_valid, 0))
+    return ToeplitzElement(a.k_max, modes, {}, a.tail_start, max(k_valid, -1))
 
 
 def apply_Dbar(a: ToeplitzElement, w: WeightPair) -> ToeplitzElement:
@@ -93,7 +93,7 @@ def apply_Dbar(a: ToeplitzElement, w: WeightPair) -> ToeplitzElement:
                                         - w.b_at(ks - 1) * a.read(m, -1))
         modes[m - 1] = modes.get(m - 1, 0.0) + out
     k_valid = a.k_valid - int(_needs_shrink(a, lambda m: m <= 0))
-    return ToeplitzElement(a.k_max, modes, {}, a.tail_start, max(k_valid, 0))
+    return ToeplitzElement(a.k_max, modes, {}, a.tail_start, max(k_valid, -1))
 
 
 def polar_split(a: ToeplitzElement, w: WeightPair,
@@ -138,7 +138,7 @@ def polar_split(a: ToeplitzElement, w: WeightPair,
             raise ValueError(f"which must be 'D' or 'Dbar', got {which!r}")
         radial[out_mode] = radial.get(out_mode, 0.0) + rad
         angular[out_mode] = angular.get(out_mode, 0.0) + ang
-    k_valid = max(a.k_valid - 1, 0)
+    k_valid = max(a.k_valid - 1, -1)
     return (ToeplitzElement(a.k_max, radial, {}, a.tail_start, k_valid),
             ToeplitzElement(a.k_max, angular, {}, a.tail_start, k_valid))
 

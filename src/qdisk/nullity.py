@@ -8,13 +8,15 @@ and the rule is scale-free.
 
 Two routes:
 
-* dense: scipy svdvals — used for the shift-algebra systems, whose boundary
-  row is a tail-window mean (a wide row);
-* bidiagonal: the per-mode radial systems are two-point chains plus
-  single-entry rows, so their singular values are eigenvalues of the
-  interleaved (Golub-Kahan) zero-diagonal tridiagonal matrix; Sturm
-  bisection counts them in O(size) per query with absolute accuracy
-  eps * sigma_max — no dense factorization at grid sizes in the thousands.
+* bidiagonal (production): an upper-bidiagonal system, optionally bordered
+  by one dense row w.  Singular values of the bidiagonal part are the
+  eigenvalues of its interleaved (Golub-Kahan) zero-diagonal tridiagonal T;
+  Sturm bisection counts them in O(size) per query with absolute accuracy
+  eps * sigma_max.  The border changes the inertia of H - tI, H the
+  Golub-Kahan matrix of the bordered system, by the sign of the Schur
+  complement s(t) = -t - w^T (T - tI)^{-1} w (Haynsworth), one banded solve
+  per query; sigma_max is the root of s above lambda_max(T).
+* dense: scipy svdvals on the full matrix, O(K^3) — the test oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, svdvals
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded, svdvals
 
 from .report import IllConditionedError
 
@@ -77,11 +79,47 @@ def _interleaved_offdiagonal(diag: np.ndarray, upper: np.ndarray,
     return off
 
 
+def _shifted_solve(bands: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
+    """(T - tI)^{-1} rhs for the zero-diagonal tridiagonal T held in ``bands``."""
+    bands[1] = -t
+    try:
+        return solve_banded((1, 1), bands, rhs, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(
+            f"shifted Golub-Kahan matrix is singular at t={t:.3e}") from exc
+
+
+def _bordered_top(bands: np.ndarray, w: np.ndarray, top: float) -> float:
+    """Top eigenvalue of [[T, w], [w^T, 0]], ``top`` = lambda_max(T): the
+    root above ``top`` of s(x), which is convex and decreasing there, so
+    Newton steps from its left climb to it monotonically.  They start at the
+    Ritz value on span{(y, 0), e_border}, y one inverse-iteration step
+    towards T's top eigenvector, which cannot exceed the root; s <= 0 there
+    already puts the root between ``top`` and the start."""
+    x = top * (1.0 + 1e-13)
+    y = _shifted_solve(bands, w, x)
+    wy, yy = w @ y, y @ y
+    rho = x + wy / yy  # Rayleigh quotient y^T T y / y^T y
+    x = max(x, 0.5 * (rho + np.sqrt(rho * rho + 4.0 * wy * wy / yy)))
+    for _ in range(100):
+        y = _shifted_solve(bands, w, x)
+        s = -x - w @ y
+        if s <= 0.0:
+            break
+        step = s / (1.0 + y @ y)
+        x += step
+        if step <= 1e-16 * x:
+            break
+    return float(x)
+
+
 def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
                           cols: int, scale_dim: int,
                           unknowns: int | None = None,
                           threshold_scale: float = THRESHOLD_SCALE,
-                          gap: float = GAP_RATIO) -> NullCount:
+                          gap: float = GAP_RATIO,
+                          border: tuple[np.ndarray, np.ndarray] | None = None
+                          ) -> NullCount:
     """Null count of an upper-bidiagonal rows x cols matrix (cols in
     {rows, rows+1}) via Sturm counts on the interleaved tridiagonal.
 
@@ -92,6 +130,10 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
     ``unknowns`` is the column count of the system whose null space is
     wanted; pass the original one when the matrix handed in is a transpose
     (singular values agree, the structural nullity does not).
+
+    ``border = (indices, values)`` appends one dense row with those entries
+    on the column (unknowns') side; the count in (-t, t) becomes
+    count_T + 1 - 2 [s(t) > 0], s the Schur complement of the module notes.
     """
     if cols not in (rows, rows + 1):
         raise ValueError("bidiagonal route expects cols in {rows, rows+1}")
@@ -111,13 +153,22 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
     top = eigvalsh_tridiagonal(main, off, select="i",
                                select_range=(size - 1, size - 1))
     sigma_max = float(top[0])
-    threshold = sigma_max * threshold_scale / scale_dim
 
     def _count_within(t: float) -> int:
-        vals = eigvalsh_tridiagonal(main, off, select="v",
-                                    select_range=(-t, t))
-        return len(vals)
+        count = len(eigvalsh_tridiagonal(main, off, select="v",
+                                         select_range=(-t, t)))
+        if border is None:
+            return count
+        return count + (1 if -t - w @ _shifted_solve(bands, w, t) < 0.0 else -1)
 
+    if border is not None:
+        w = np.zeros(size)
+        w[2 * np.asarray(border[0])] = border[1] / np.linalg.norm(border[1])
+        bands = np.array([np.r_[0.0, off], main, np.r_[off, 0.0]])
+        sigma_max = _bordered_top(bands, w, sigma_max)
+        rows += 1
+
+    threshold = sigma_max * threshold_scale / scale_dim
     structural = abs(rows - cols)
     n_t = _count_within(threshold)
     n_band = _count_within(gap * threshold)

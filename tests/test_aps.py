@@ -81,10 +81,12 @@ class TestNumericIndex:
         with pytest.raises(ValueError, match="mode_range"):
             index_numeric(w2, APSProjection(3), 512, mode_range=(-2, 2))
 
-    def test_threads_do_not_change_counts(self, w2):
-        res1 = index_numeric(w2, APSProjection(1), 256, threads=1)
-        res4 = index_numeric(w2, APSProjection(1), 256, threads=4)
-        assert (res1.dim_ker, res1.dim_coker) == (res4.dim_ker, res4.dim_coker)
+    def test_shared_cache_matches_fresh_cache(self, w2):
+        cache = {}
+        for n in (-2, 0, 1, 3):
+            shared = index_numeric(w2, APSProjection(n), 256, cache=cache)
+            fresh = index_numeric(w2, APSProjection(n), 256)
+            assert shared.per_mode == fresh.per_mode
 
 
 class TestSolve:

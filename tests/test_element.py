@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisk import (BoundaryFunction, ToeplitzElement, TruncationWarning,
-                   adjoint, element, extend, from_mode, identity, multiply,
-                   power_UB, random_element, restrict, to_matrix, u_power,
-                   ustar_power, zero)
+                   adjoint, apply_D, element, extend, from_mode, identity,
+                   multiply, power_UB, random_element, restrict, to_matrix,
+                   u_power, ustar_power, zero)
 
 K = 64
 
@@ -85,6 +85,11 @@ class TestMultiply:
         b = random_element(rng, 8, -3, 3)
         with pytest.warns(TruncationWarning):
             multiply(a, b)
+
+    def test_empty_interior_is_not_valid(self, rng):
+        a = random_element(rng, 10, -6, 6)
+        with pytest.warns(TruncationWarning):
+            assert multiply(a, a).k_valid == -1
 
     def test_shared_kmax_required(self, rng):
         with pytest.raises(ValueError, match="k_max"):
@@ -217,6 +222,16 @@ class TestSerialization:
         for m in a.modes:
             np.testing.assert_array_equal(a.coeff(m), b.coeff(m))
             assert a.tail(m) == b.tail(m)
+
+    def test_round_trip_keeps_validity_bound(self, rng, w2):
+        a = apply_D(random_element(rng, 10, -2, 2), w2)
+        assert a.k_valid == 9
+        assert ToeplitzElement.from_json_dict(a.to_json_dict()).k_valid == 9
+
+    def test_absent_validity_bound_means_whole_range(self, rng):
+        data = random_element(rng, 10, -2, 2).to_json_dict()
+        del data["k_valid"]
+        assert ToeplitzElement.from_json_dict(data).k_valid == 10
 
     def test_boundary_round_trip(self):
         f = BoundaryFunction({-2: 1.0 + 2.0j, 0: 0.5 + 0.0j, 4: -1.0j})

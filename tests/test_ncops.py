@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,16 @@ class TestPolarSplit:
     def test_invalid_selector(self, rng, w2):
         with pytest.raises(ValueError, match="which"):
             polar_split(random_element(rng, 16, 0, 1), w2, "Dtilde")
+
+
+class TestValidityBound:
+    def test_exhausted_bound_is_not_reset(self, rng, w2):
+        """An input valid only at k = 0 leaves no valid coefficient after one
+        difference step; the bound must read -1, not 0."""
+        a = replace(random_element(rng, 16, -2, 2), k_valid=0)
+        outputs = [apply_D(a, w2), apply_Dbar(a, w2), *polar_split(a, w2, "D"),
+                   *polar_split(a, w2, "Dbar")]
+        assert [x.k_valid for x in outputs] == [-1] * 6
 
 
 class TestKernelBasis:

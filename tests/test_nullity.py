@@ -1,0 +1,124 @@
+"""The structured null count against the dense SVD oracle.
+
+Production counts every per-mode system of ``index_numeric`` through
+``count_null_bidiagonal`` (Sturm counts, with the boundary row entering by
+the Haynsworth rule); ``count_null_dense`` on the same system scattered
+into a matrix is the reference.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import svdvals
+
+from qdisk import (APSProjection, IllConditionedError, ToeplitzElement,
+                   apply_D, apply_Dbar, index_numeric, quantum_disk_weights)
+from qdisk import nullity
+from qdisk.aps import _mode_bands, _mode_matrix
+from qdisk.cli import main
+from qdisk.nullity import count_null_bidiagonal, count_null_dense
+
+
+def _sweep_jobs(nmin=-6, nmax=6):
+    """Every (side, mode, constrained) system of an index sweep."""
+    jobs = set()
+    for n in range(nmin, nmax + 1):
+        for m in range(-abs(n) - 4, abs(n) + 5):
+            jobs.add(("ker", m, m > n))
+            jobs.add(("coker", m, m <= n + 1))
+    return sorted(jobs)
+
+
+@pytest.mark.parametrize("k_max", [128, 256])
+@pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
+def test_structured_count_matches_dense_on_the_sweep(k_max, mu):
+    w = quantum_disk_weights(mu, 2.0)
+    window = k_max // 16
+    for side, m, constrained in _sweep_jobs():
+        diag, upper, rows, cols, border = _mode_bands(w, side, m, k_max,
+                                                      window, constrained)
+        got = count_null_bidiagonal(diag, upper, rows, cols, k_max,
+                                    border=border)
+        want = count_null_dense(
+            _mode_matrix(w, side, m, k_max, window, constrained), k_max)
+        job = (side, m, constrained)
+        assert (got.nullity, got.n_below, got.structural) == (
+            want.nullity, want.n_below, want.structural), job
+        assert got.sigma_max == pytest.approx(want.sigma_max, rel=1e-12), job
+        assert got.threshold == pytest.approx(want.threshold, rel=1e-12), job
+
+
+@pytest.mark.parametrize("side", ["ker", "coker"])
+@pytest.mark.parametrize("m", [-3, -1, 0, 1, 2])
+def test_mode_system_rows_are_the_operator_stencil(w2, side, m):
+    """Up to a positive row factor, row k of the unconstrained mode system is
+    coefficient k of D (side 'ker') or D̄ (side 'coker') applied to mode m."""
+    k_max = 32
+    op = apply_D if side == "ker" else apply_Dbar
+    out_mode = m + 1 if side == "ker" else m - 1
+    stencil = np.stack([
+        op(ToeplitzElement(k_max, {m: np.eye(k_max + 1)[j].astype(complex)}),
+           w2).coeff(out_mode).real
+        for j in range(k_max + 1)], axis=1)
+    mat = _mode_matrix(w2, side, m, k_max, 8, False)
+    if len(mat) == k_max + 1:  # square systems are stored reversed
+        mat = mat[::-1, ::-1]
+    stencil = stencil[: len(mat)]
+    np.testing.assert_allclose(
+        mat / np.linalg.norm(mat, axis=1)[:, None],
+        stencil / np.linalg.norm(stencil, axis=1)[:, None], atol=1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(2, 40), wide=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_bordered_count_matches_dense(rows, wide, seed, data):
+    """Random positive bidiagonal bands with a random border window: wherever
+    no singular value lies near the threshold, the counts agree.  A random
+    drift between the bands makes the null vector of a wide system decay,
+    so the border often misses it and the count is 1."""
+    cols = rows + wide
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(0.01, 1.0, rows)
+    upper = rng.uniform(0.01, 1.0, cols - 1) * 10 ** rng.uniform(-1, 1)
+    start = data.draw(st.integers(0, cols - 1))
+    stop = data.draw(st.integers(start + 1, cols))
+    index = np.arange(start, stop)
+    values = rng.uniform(0.1, 1.0, len(index))
+
+    dense = np.zeros((rows + 1, cols))
+    dense[np.arange(rows), np.arange(rows)] = diag
+    dense[np.arange(cols - 1), np.arange(1, cols)] = upper
+    dense[rows, index] = values
+    sigmas = svdvals(dense / np.linalg.norm(dense, axis=1)[:, None])
+    tau = sigmas[0] * nullity.THRESHOLD_SCALE / rows
+    assume(not np.any((sigmas >= tau / 10) & (sigmas < 1000 * tau)))
+
+    want = count_null_dense(dense, rows)
+    got = count_null_bidiagonal(diag, upper, rows, cols, rows,
+                                border=(index, values))
+    assert (got.nullity, got.n_below, got.structural) == (
+        want.nullity, want.n_below, want.structural)
+    assert got.sigma_max == pytest.approx(want.sigma_max, rel=1e-12)
+
+
+def test_index_at_a_size_beyond_the_dense_route():
+    w = quantum_disk_weights(0.3, 2.0)
+    cache = {}
+    for n in (-3, 0, 3):
+        res = index_numeric(w, APSProjection(n), 8192, cache=cache)
+        assert res.index == n + 1
+        assert res.matches_analytic
+
+
+def test_singular_shifted_solve_is_ill_conditioned(monkeypatch, w2, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(nullity, "solve_banded", singular)
+    with pytest.raises(IllConditionedError, match="singular"):
+        index_numeric(w2, APSProjection(0), 128)
+    assert main(["index-sweep", "--kmax", "128", "--nmin", "0",
+                 "--nmax", "0"]) == 3
+    assert "ill-conditioned" in capsys.readouterr().err
