@@ -18,7 +18,9 @@ Index counting mirrors the shift-algebra side: per mode, the kernel ODE
 ρ f' = a f is discretized by two-point midpoint collocation (a bidiagonal
 chain with exactly one structural null direction), a regularity row f(0)=0
 is added exactly when the ODE solution ρ^a is singular (a < 0), and a
-boundary row f(1)=0 when the spectral condition constrains the mode.
+boundary row f(1)=0 when the spectral condition constrains the mode.  The
+system depends on (a, constrained) alone, so kernel mode m and cokernel
+mode -m (both a = m) share one null count.
 """
 
 from __future__ import annotations
@@ -197,13 +199,15 @@ def index_classical(p: APSProjection, weight: ClassicalWeight,
                     threshold_scale: float = THRESHOLD_SCALE,
                     gap: float = GAP_RATIO,
                     cache: dict | None = None) -> NumericIndex:
-    """Index of the boundary-conditioned flat-disk operator by SVD counting.
+    """Index of the boundary-conditioned flat-disk operator by Sturm
+    counting (``count_null_bidiagonal``).
 
     Per mode m the kernel system uses a = m (holomorphic side) and the
     cokernel system a = -m under the adjoint condition (mode constrained
     iff m <= cutoff + 1).  F does not enter: a positive prefactor never
     changes a kernel.  Counts must match the shift-algebra sweep mode for
-    mode.
+    mode.  ``cache`` maps (a, constrained) to its null count, one entry per
+    distinct system; ``per_mode`` still lists every (side, mode).
     """
     n = p.cutoff
     if mode_range is None:
@@ -221,7 +225,7 @@ def index_classical(p: APSProjection, weight: ClassicalWeight,
         for side in ("ker", "coker"):
             a = m if side == "ker" else -m
             constrained = (m > n) if side == "ker" else (m <= n + 1)
-            job = (side, a, constrained)
+            job = (a, constrained)
             if job not in cache:
                 cache[job] = _mode_nullity(a, constrained, m_points,
                                            threshold_scale, gap)

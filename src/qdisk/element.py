@@ -400,7 +400,9 @@ def restrict(a: ToeplitzElement, tail_window: int = 16) -> BoundaryFunction:
 
     Declared tails restrict exactly; otherwise the limit is estimated by the
     mean of the last ``tail_window`` coefficients inside the valid range, and
-    the in-window spread is recorded as the error estimate.
+    the in-window spread is recorded as the error estimate.  An element with
+    no valid coefficient (``k_valid`` < 0) has no such window: those modes
+    get variation inf and a TruncationWarning.
     """
     if tail_window < 1:
         raise ValueError("tail_window must be >= 1")
@@ -408,6 +410,7 @@ def restrict(a: ToeplitzElement, tail_window: int = 16) -> BoundaryFunction:
     variation: dict[int, float] = {}
     hi = max(a.k_valid, 0)
     lo = max(hi - tail_window + 1, 0)
+    unbounded = []
     for m, c in a.modes.items():
         t = a.tail(m)
         if t is not None and a.tail_start <= hi:
@@ -417,7 +420,17 @@ def restrict(a: ToeplitzElement, tail_window: int = 16) -> BoundaryFunction:
             window = c[lo: hi + 1]
             mean = complex(np.mean(window))
             values[m] = mean
-            variation[m] = float(np.max(np.abs(window - mean)))
+            if a.k_valid < 0:
+                unbounded.append(m)
+                variation[m] = np.inf
+            else:
+                variation[m] = float(np.max(np.abs(window - mean)))
+    if unbounded:
+        warnings.warn(
+            f"restrict: k_valid={a.k_valid}, no valid coefficient; modes "
+            f"{sorted(unbounded)} have no usable declared tail, so their "
+            f"boundary values are unbounded estimates", TruncationWarning,
+            stacklevel=2)
     return BoundaryFunction(values, variation)
 
 

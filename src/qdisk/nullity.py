@@ -8,14 +8,20 @@ and the rule is scale-free.
 
 Two routes:
 
-* bidiagonal (production): an upper-bidiagonal system, optionally bordered
-  by one dense row w.  Singular values of the bidiagonal part are the
-  eigenvalues of its interleaved (Golub-Kahan) zero-diagonal tridiagonal T;
-  Sturm bisection counts them in O(size) per query with absolute accuracy
-  eps * sigma_max.  The border changes the inertia of H - tI, H the
-  Golub-Kahan matrix of the bordered system, by the sign of the Schur
-  complement s(t) = -t - w^T (T - tI)^{-1} w (Haynsworth), one banded solve
-  per query; sigma_max is the root of s above lambda_max(T).
+* bidiagonal (production): an upper-bidiagonal system B, optionally
+  bordered by one dense row w.  Singular values of B are the eigenvalues of
+  its interleaved (Golub-Kahan) zero-diagonal tridiagonal T.  A threshold
+  query is one pair of Sturm counts on T, at -t and t, in O(size) with
+  absolute accuracy eps * sigma_max: the bisection tolerance is set wider
+  than (-t, t), so LAPACK stebz returns the count without refining any
+  eigenvalue.  The counts stay on T because squaring would lose the small
+  singular values.  sigma_max^2 is the top eigenvalue of the Gram
+  tridiagonal B B^T, half the size of T; only the top is read from it.
+  The border changes the inertia of H - tI, H the Golub-Kahan matrix of the
+  bordered system, by the sign of the Schur complement
+  s(t) = -t - w^T (T - tI)^{-1} w (Haynsworth), one banded solve per query;
+  sigma_max is the root of s above lambda_max(T).  Dot products with w run
+  over its support only.
 * dense: scipy svdvals on the full matrix, O(K^3) — the test oracle.
 """
 
@@ -79,6 +85,27 @@ def _interleaved_offdiagonal(diag: np.ndarray, upper: np.ndarray,
     return off
 
 
+def _gram_top(diag: np.ndarray, upper: np.ndarray) -> float:
+    """sigma_max of the upper-bidiagonal matrix B whose row j holds diag[j]
+    and upper[j] (zero past its end): the square root of lambda_max of the
+    rows x rows tridiagonal B B^T, diagonal diag^2 + upper^2 and
+    off-diagonal upper[j] * diag[j+1]."""
+    rows = len(diag)
+    upper = np.r_[upper, np.zeros(rows - len(upper))]
+    top = eigvalsh_tridiagonal(diag * diag + upper * upper,
+                               upper[:-1] * diag[1:], select="i",
+                               select_range=(rows - 1, rows - 1))
+    return float(np.sqrt(top[0]))
+
+
+def _count_within(off: np.ndarray, t: float) -> int:
+    """Eigenvalues in (-t, t] of the zero-diagonal tridiagonal with
+    off-diagonal ``off``.  A bisection tolerance wider than the interval
+    makes stebz return after the two endpoint Sturm counts."""
+    return len(eigvalsh_tridiagonal(np.zeros(len(off) + 1), off, select="v",
+                                    select_range=(-t, t), tol=4.0 * t))
+
+
 def _shifted_solve(bands: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
     """(T - tI)^{-1} rhs for the zero-diagonal tridiagonal T held in ``bands``."""
     bands[1] = -t
@@ -89,24 +116,29 @@ def _shifted_solve(bands: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
             f"shifted Golub-Kahan matrix is singular at t={t:.3e}") from exc
 
 
-def _bordered_top(bands: np.ndarray, w: np.ndarray, top: float) -> float:
-    """Top eigenvalue of [[T, w], [w^T, 0]], ``top`` = lambda_max(T): the
-    root above ``top`` of s(x), which is convex and decreasing there, so
-    Newton steps from its left climb to it monotonically.  They start at the
-    Ritz value on span{(y, 0), e_border}, y one inverse-iteration step
-    towards T's top eigenvector, which cannot exceed the root; s <= 0 there
-    already puts the root between ``top`` and the start."""
+def _bordered_top(bands: np.ndarray, w: np.ndarray,
+                  support: tuple[np.ndarray, np.ndarray], top: float) -> float:
+    """Top eigenvalue of [[T, w], [w^T, 0]], ``top`` = lambda_max(T) and
+    ``support`` = (indices, values) the nonzero entries of w: the root
+    above ``top`` of s(x), which is convex and decreasing there, so Newton
+    steps from its left climb to it monotonically.  They start at the Ritz
+    value on span{(y, 0), e_border}, y one inverse-iteration step towards
+    T's top eigenvector, which cannot exceed the root; s <= 0 there already
+    puts the root between ``top`` and the start.  y^T y is a ufunc sum, not
+    a BLAS dot: unpinned BLAS threads a long dot product at a cost above
+    that of the whole banded solve."""
+    idx, vals = support
     x = top * (1.0 + 1e-13)
     y = _shifted_solve(bands, w, x)
-    wy, yy = w @ y, y @ y
+    wy, yy = vals @ y[idx], np.sum(y * y)
     rho = x + wy / yy  # Rayleigh quotient y^T T y / y^T y
     x = max(x, 0.5 * (rho + np.sqrt(rho * rho + 4.0 * wy * wy / yy)))
     for _ in range(100):
         y = _shifted_solve(bands, w, x)
-        s = -x - w @ y
+        s = -x - vals @ y[idx]
         if s <= 0.0:
             break
-        step = s / (1.0 + y @ y)
+        step = s / (1.0 + np.sum(y * y))
         x += step
         if step <= 1e-16 * x:
             break
@@ -120,12 +152,14 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
                           gap: float = GAP_RATIO,
                           border: tuple[np.ndarray, np.ndarray] | None = None
                           ) -> NullCount:
-    """Null count of an upper-bidiagonal rows x cols matrix (cols in
-    {rows, rows+1}) via Sturm counts on the interleaved tridiagonal.
+    """Null count of an upper-bidiagonal rows x cols matrix B (cols in
+    {rows, rows+1}) via Sturm counts on the interleaved tridiagonal T.
 
-    Eigenvalues of the interleaved matrix come in ±sigma pairs plus
-    |rows - cols| structural zeros, so the count of eigenvalues in (-t, t)
-    is 2 * #{sigma < t} + |rows - cols|.
+    Eigenvalues of T come in ±sigma pairs plus |rows - cols| structural
+    zeros, so the count of eigenvalues in (-t, t) is
+    2 * #{sigma < t} + |rows - cols|.  Each threshold query is count-only
+    (two Sturm counts on T); sigma_max is read from the Gram tridiagonal
+    B B^T, half the size of T.
 
     ``unknowns`` is the column count of the system whose null space is
     wanted; pass the original one when the matrix handed in is a transpose
@@ -148,30 +182,28 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
 
     off = _interleaved_offdiagonal(diag, upper, rows, cols)
     size = rows + cols
-    main = np.zeros(size)
+    sigma_max = _gram_top(diag, upper)
 
-    top = eigvalsh_tridiagonal(main, off, select="i",
-                               select_range=(size - 1, size - 1))
-    sigma_max = float(top[0])
-
-    def _count_within(t: float) -> int:
-        count = len(eigvalsh_tridiagonal(main, off, select="v",
-                                         select_range=(-t, t)))
+    def _count(t: float) -> int:
+        count = _count_within(off, t)
         if border is None:
             return count
-        return count + (1 if -t - w @ _shifted_solve(bands, w, t) < 0.0 else -1)
+        s = -t - vals @ _shifted_solve(bands, w, t)[idx]
+        return count + (1 if s < 0.0 else -1)
 
     if border is not None:
+        idx = 2 * np.asarray(border[0])
+        vals = border[1] / np.linalg.norm(border[1])
         w = np.zeros(size)
-        w[2 * np.asarray(border[0])] = border[1] / np.linalg.norm(border[1])
-        bands = np.array([np.r_[0.0, off], main, np.r_[off, 0.0]])
-        sigma_max = _bordered_top(bands, w, sigma_max)
+        w[idx] = vals
+        bands = np.array([np.r_[0.0, off], np.zeros(size), np.r_[off, 0.0]])
+        sigma_max = _bordered_top(bands, w, (idx, vals), sigma_max)
         rows += 1
 
     threshold = sigma_max * threshold_scale / scale_dim
     structural = abs(rows - cols)
-    n_t = _count_within(threshold)
-    n_band = _count_within(gap * threshold)
+    n_t = _count(threshold)
+    n_band = _count(gap * threshold)
     _check_band((n_band - n_t) // 2, threshold)
     if (n_t - structural) % 2:
         raise IllConditionedError(

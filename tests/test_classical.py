@@ -146,6 +146,20 @@ class TestClassicalIndex:
             assert res.matches_analytic
 
 
+    def test_shared_cache_matches_fresh_cache(self):
+        """The cache holds one count per (a, constrained) system, shared by
+        kernel mode m and cokernel mode -m; per_mode is unchanged by it."""
+        cache, systems = {}, set()
+        for n in range(-6, 7):
+            shared = index_classical(APSProjection(n), F2, 2048, cache=cache)
+            fresh = index_classical(APSProjection(n), F2, 2048)
+            assert shared.per_mode == fresh.per_mode
+            systems |= {(r["mode"] if r["side"] == "ker" else -r["mode"],
+                         r["constrained"]) for r in shared.per_mode}
+        assert set(cache) == systems
+        assert len(cache) == 35
+
+
 class TestNullCountRoutes:
     """The Sturm tridiagonal route must agree with dense SVD counting."""
 
@@ -170,9 +184,15 @@ class TestNullCountRoutes:
             bc = np.zeros((1, m_points))
             bc[0, -1] = 1.0
             blocks.append(bc)
-        dense = count_null_dense(np.vstack(blocks), m_points)
+        system = np.vstack(blocks)
+        dense = count_null_dense(system, m_points)
         fast = _mode_nullity(a, constrained, m_points, 1e-6, 100.0)
         assert dense.nullity == fast.nullity
+        # for a < 0 the route counts the transpose, so it equilibrates the
+        # system's columns: its sigma_max is that of the transposed oracle
+        scaled = count_null_dense(system.T, m_points) if a < 0 else dense
+        assert fast.sigma_max == pytest.approx(scaled.sigma_max, rel=1e-12)
+        assert fast.threshold == pytest.approx(scaled.threshold, rel=1e-12)
 
     def test_expected_counts(self):
         from qdisk.classical import _mode_nullity

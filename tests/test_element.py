@@ -177,6 +177,15 @@ class TestRestrictExtend:
         assert abs(f.coeff(-1)) < 2.0 / K
         assert f.variation[-1] < 2.0 / K
 
+    def test_no_valid_coefficient_is_unbounded(self, rng):
+        a = random_element(rng, 10, -6, 6)
+        with pytest.warns(TruncationWarning):
+            p = multiply(a, a)
+        with pytest.warns(TruncationWarning, match="k_valid=-1"):
+            f = restrict(p, 8)
+        assert set(f.variation) == set(p.modes)
+        assert all(v == np.inf for v in f.variation.values())
+
     def test_extend_constant_is_identity_element(self):
         a = extend(BoundaryFunction({0: 1.0 + 0.0j}), K)
         np.testing.assert_array_equal(a.coeff(0), np.ones(K + 1))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import svdvals
+from scipy.linalg import eigvalsh_tridiagonal, svdvals
 
 from qdisk import (APSProjection, IllConditionedError, ToeplitzElement,
                    apply_D, apply_Dbar, index_numeric, quantum_disk_weights)
@@ -101,6 +101,32 @@ def test_bordered_count_matches_dense(rows, wide, seed, data):
     assert (got.nullity, got.n_below, got.structural) == (
         want.nullity, want.n_below, want.structural)
     assert got.sigma_max == pytest.approx(want.sigma_max, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(2, 120), clustered=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 10 ** 6),
+       nudge=st.integers(-3, 3))
+def test_count_only_query_and_gram_top(size, clustered, seed, pick, nudge):
+    """On zero-diagonal tridiagonals T, the count-only Sturm query equals
+    the full-precision count, even with the threshold on or a few ulps off
+    an eigenvalue of a cluster; and the Gram route's top matches T's.
+    Clustered: every other off-diagonal entry is tiny, so T is close to
+    2 x 2 blocks whose eigenvalues cluster at ±c within 1e-12."""
+    rng = np.random.default_rng(seed)
+    if clustered:
+        off = rng.uniform(0.5, 1.0) * (1.0 + 1e-14 * rng.standard_normal(size - 1))
+        off[1::2] = 1e-12 * rng.standard_normal(len(off[1::2]))
+    else:
+        off = rng.uniform(-1.0, 1.0, size - 1) * 10 ** rng.uniform(-8, 0, size - 1)
+    full = eigvalsh_tridiagonal(np.zeros(size), off)
+    t = abs(full[pick % size]) * (1.0 + nudge * np.finfo(float).eps)
+    assume(t > 0.0)
+    want = len(eigvalsh_tridiagonal(np.zeros(size), off, select="v",
+                                    select_range=(-t, t)))
+    assert nullity._count_within(off, t) == want
+    top = nullity._gram_top(off[0::2], off[1::2])
+    assert top == pytest.approx(full[-1], rel=1e-14)
 
 
 def test_index_at_a_size_beyond_the_dense_route():
