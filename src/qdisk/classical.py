@@ -30,8 +30,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .aps import APSProjection, NumericIndex, index_analytic
-from .nullity import GAP_RATIO, THRESHOLD_SCALE, count_null_bidiagonal
+from .aps import APSProjection, NumericIndex, _sweep
+from .nullity import count_null_bidiagonal
 from .weights import ClassicalWeight
 
 __all__ = [
@@ -162,8 +162,7 @@ def _chain_rows(a: float, m_points: int) -> tuple[np.ndarray, np.ndarray]:
     return on_left, on_right
 
 
-def _mode_nullity(a: int, constrained: bool, m_points: int,
-                  threshold_scale: float, gap: float):
+def _mode_nullity(a: int, constrained: bool, m_points: int):
     """Null count of the discretized mode system for ρ f' = a f.
 
     Regularity row (f(0) = 0) exactly when ρ^a is singular at the origin;
@@ -181,23 +180,19 @@ def _mode_nullity(a: int, constrained: bool, m_points: int,
             diag = np.concatenate([diag, [1.0]])
             rows += 1
         return count_null_bidiagonal(diag, upper, rows, m_points, m_points,
-                                     unknowns=m_points,
-                                     threshold_scale=threshold_scale, gap=gap)
+                                     unknowns=m_points)
     # regularity row first, then the chain (lower bidiagonal); transpose
     low = np.concatenate([on_left, [1.0] if constrained else []])
     diag_t = np.concatenate([[1.0], on_right])
     rows_orig = len(low) + 1  # reg + chain (+ boundary)
     # transpose: upper bidiagonal (m_points) x rows_orig
     return count_null_bidiagonal(diag_t, low, m_points, rows_orig, m_points,
-                                 unknowns=m_points,
-                                 threshold_scale=threshold_scale, gap=gap)
+                                 unknowns=m_points)
 
 
 def index_classical(p: APSProjection, weight: ClassicalWeight,
                     m_points: int = 2048,
                     mode_range: tuple[int, int] | None = None,
-                    threshold_scale: float = THRESHOLD_SCALE,
-                    gap: float = GAP_RATIO,
                     cache: dict | None = None) -> NumericIndex:
     """Index of the boundary-conditioned flat-disk operator by Sturm
     counting (``count_null_bidiagonal``).
@@ -208,40 +203,11 @@ def index_classical(p: APSProjection, weight: ClassicalWeight,
     changes a kernel.  Counts must match the shift-algebra sweep mode for
     mode.  ``cache`` maps (a, constrained) to its null count, one entry per
     distinct system; ``per_mode`` still lists every (side, mode).
+
+    For a < 0 the count runs on the transposed system, so ``sigma_max``
+    and ``threshold`` in ``per_mode`` belong to the column-equilibrated
+    system, not the row-equilibrated one of the ``nullity`` notes; the
+    nullity is the same.  A row-equilibrated count would cost twice as much.
     """
-    n = p.cutoff
-    if mode_range is None:
-        mode_range = (-abs(n) - 4, abs(n) + 4)
-    lo, hi = mode_range
-    if lo > -abs(n) - 4 or hi < abs(n) + 4:
-        raise ValueError(f"mode_range must cover [{-abs(n) - 4}, {abs(n) + 4}]")
-    if cache is None:
-        cache = {}
-
-    per_mode = []
-    dim_ker = 0
-    dim_coker = 0
-    for m in range(lo, hi + 1):
-        for side in ("ker", "coker"):
-            a = m if side == "ker" else -m
-            constrained = (m > n) if side == "ker" else (m <= n + 1)
-            job = (a, constrained)
-            if job not in cache:
-                cache[job] = _mode_nullity(a, constrained, m_points,
-                                           threshold_scale, gap)
-            res = cache[job]
-            per_mode.append({"side": side, "mode": m,
-                             "constrained": constrained,
-                             "nullity": res.nullity,
-                             "sigma_max": res.sigma_max,
-                             "threshold": res.threshold})
-            if side == "ker":
-                dim_ker += res.nullity
-            else:
-                dim_coker += res.nullity
-
-    analytic = index_analytic(p)
-    index = dim_ker - dim_coker
-    return NumericIndex(dim_ker, dim_coker, index, analytic,
-                        (dim_ker, dim_coker, index) == tuple(analytic),
-                        mode_range, per_mode)
+    return _sweep(p, mode_range, cache,
+                  lambda a, constrained: _mode_nullity(a, constrained, m_points))

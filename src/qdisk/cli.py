@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -63,33 +64,25 @@ def cmd_verify_weights(args: argparse.Namespace) -> int:
 
 
 def cmd_index_sweep(args: argparse.Namespace) -> int:
-    mus = args.mu or [1.0]
+    sweeps = []  # (variant, mu, size, index function of (projection, cache))
+    if args.variant in ("nc", "both"):
+        for mu in args.mu or [1.0]:
+            w = quantum_disk_weights(mu, args.scale)
+            sweeps.append(("nc", mu, args.kmax,
+                           partial(index_numeric, w, k_max=args.kmax)))
+    if args.variant in ("classical", "both"):
+        sweeps.append(("classical", "", args.grid,
+                       partial(index_classical, weight=constant_classical_weight(),
+                               m_points=args.grid)))
     rows = []
     failures = 0
     try:
-        if args.variant in ("nc", "both"):
-            for mu in mus:
-                w = quantum_disk_weights(mu, args.scale)
-                cache: dict = {}
-                for n in range(args.nmin, args.nmax + 1):
-                    res = index_numeric(w, APSProjection(n), args.kmax,
-                                        cache=cache)
-                    rows.append({
-                        "variant": "nc", "N": n, "mu": mu, "K_max": args.kmax,
-                        "dim_ker": res.dim_ker, "dim_coker": res.dim_coker,
-                        "index_numeric": res.index,
-                        "index_analytic": res.analytic.index,
-                    })
-                    failures += not res.matches_analytic
-        if args.variant in ("classical", "both"):
-            weight = constant_classical_weight()
-            cache = {}
+        for variant, mu, size, index in sweeps:
+            cache: dict = {}
             for n in range(args.nmin, args.nmax + 1):
-                res = index_classical(APSProjection(n), weight,
-                                      m_points=args.grid, cache=cache)
+                res = index(p=APSProjection(n), cache=cache)
                 rows.append({
-                    "variant": "classical", "N": n, "mu": "",
-                    "K_max": args.grid,
+                    "variant": variant, "N": n, "mu": mu, "K_max": size,
                     "dim_ker": res.dim_ker, "dim_coker": res.dim_coker,
                     "index_numeric": res.index,
                     "index_analytic": res.analytic.index,
@@ -120,7 +113,7 @@ def cmd_parametrix_check(args: argparse.Namespace) -> int:
     bound_ok = True
     worst_ratio = 0.0
 
-    support = min(args.kmax // 2, args.kmax)
+    support = args.kmax // 2
     for trial in range(args.trials):
         b = random_element(rng, args.kmax, -6, 6, k_support=support)
         nb = norm_fourier(b, w)

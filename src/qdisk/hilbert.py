@@ -12,10 +12,10 @@ The integration-by-parts identity
     (Da, b) = (a, D̄b) - ∫ conj(r(a)) r(b) e^{-iφ} dφ/2π
 
 telescopes mode-by-mode (finite Abel summation), so at truncation K the only
-error is the neglected k > K tail.  In every tail integrand the 1/A weight
-cancels the operator's A factor, leaving pure B-difference telescopes with
-closed-form sums; ``integration_by_parts_residual`` adds those corrections
-and lands at roundoff for declared-tail inputs.
+error is the neglected k > K tail.  There the 1/A weight cancels the A of
+the stencil (table in the ``ncops`` notes), leaving B-difference telescopes
+with closed-form sums; ``integration_by_parts_residual`` adds those
+corrections and lands at roundoff for declared-tail inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import warnings
 import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement, restrict, to_matrix
+from .ncops import _stencil, _table, apply_D, apply_Dbar
 from .report import CheckResult, Report, TruncationWarning
 from .weights import WeightPair
 
@@ -147,51 +148,14 @@ def abel_identity_check(f, g, n: int) -> Report:
     return report
 
 
-def _tail_values(x: ToeplitzElement, tail_window: int) -> dict[int, complex]:
-    """Per-mode limit values: declared tails where present, window means else."""
-    r = restrict(x, tail_window)
-    return {m: r.coeff(m) for m in x.modes}
-
-
-def _ibp_tail_da_b(a_tails, b_tails, w: WeightPair, k_max: int) -> complex:
-    """Exact k > k_max tail of (Da, b) for constant-tail inputs.
-
-    Input mode m of a feeds output mode m+1; the A weights cancel, leaving
-    sum_{k>K} of a pure B difference whose telescoped value needs only n
-    boundary evaluations of B.
-    """
-    total = 0.0 + 0.0j
-    for m, ta in a_tails.items():
-        tb = b_tails.get(m + 1, 0.0)
-        if tb == 0.0 or ta == 0.0 or m == 0:
-            continue
-        if m > 0:
-            js = np.arange(m)
-            s = np.sum(1.0 - w.b_at(k_max + 1 + js))
-        else:
-            n = -m
-            js = np.arange(n)
-            s = np.sum(w.b_at(k_max + js) - 1.0)
-        total += np.conj(ta) * tb * s
-    return complex(total)
-
-
-def _ibp_tail_a_dbarb(a_tails, b_tails, w: WeightPair, k_max: int) -> complex:
-    """Exact k > k_max tail of (a, D̄b) for constant-tail inputs."""
-    total = 0.0 + 0.0j
-    for m, tb in b_tails.items():
-        ta = a_tails.get(m - 1, 0.0)
-        if tb == 0.0 or ta == 0.0 or m == 0:
-            continue
-        if m < 0:
-            n = -m
-            js = np.arange(n)
-            s = np.sum(w.b_at(k_max + 1 + js) - 1.0)
-        else:
-            js = np.arange(m)
-            s = np.sum(1.0 - w.b_at(k_max + js))
-        total += np.conj(ta) * tb * s
-    return complex(total)
+def _ibp_tail(tab: tuple, k_max: int, shift: int, m: int) -> float:
+    """Exact k > k_max tail of the pairing of D (shift +1) or D̄ (shift -1)
+    applied to a constant-tail input mode m: the 1/A weight cancels the
+    stencil's A, leaving its angular coefficient σ(B(k+n+q) - B(k+q))
+    summed over k > k_max, which telescopes to σ Σ_{j<n}(1 - B(K+1+q+j))."""
+    st = _stencil(shift, m)
+    lo = k_max + 2 + st.q  # tab[1][k + 1] = B(k)
+    return st.sigma * np.sum(1.0 - tab[1][lo: lo + st.n])
 
 
 def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
@@ -204,8 +168,6 @@ def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
     residual is limited only by roundoff; otherwise the window-mean limits
     leave an O(1/k_max) remainder that propagates as a TruncationWarning.
     """
-    from .ncops import apply_D, apply_Dbar  # local import: no module cycle
-
     if a.k_max != b.k_max:
         raise ValueError("elements must share k_max")
     k_max = a.k_max
@@ -217,13 +179,13 @@ def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
             "estimates and the residual is only O(1/k_max)",
             TruncationWarning, stacklevel=2)
 
-    a_tails = _tail_values(a, tail_window)
-    b_tails = _tail_values(b, tail_window)
-
+    # per-mode limits: declared tails where present, window means else
+    ra, rb = restrict(a, tail_window), restrict(b, tail_window)
+    tab = _table(w, k_max, [*a.modes, *b.modes])
     da_b = inner_product_fourier(apply_D(a, w), b, w)
-    da_b += _ibp_tail_da_b(a_tails, b_tails, w, k_max)
+    da_b += sum(np.conj(t) * rb.coeff(m + 1) * _ibp_tail(tab, k_max, +1, m)
+                for m, t in ra.modes.items())
     a_dbarb = inner_product_fourier(a, apply_Dbar(b, w), w)
-    a_dbarb += _ibp_tail_a_dbarb(a_tails, b_tails, w, k_max)
-
-    bdry = boundary_pairing(BoundaryFunction(a_tails), BoundaryFunction(b_tails))
-    return abs(da_b - a_dbarb + bdry)
+    a_dbarb += sum(np.conj(ra.coeff(m - 1)) * t * _ibp_tail(tab, k_max, -1, m)
+                   for m, t in rb.modes.items())
+    return abs(da_b - a_dbarb + boundary_pairing(ra, rb))

@@ -5,9 +5,24 @@ With z = U B(K) and z* = B(K) U*, the operators are the weighted commutators
     D(a)  = A(K) [U B(K), a]        (shifts every mode up by one)
     D̄(a) = A(K) [B(K) U*, a]       (shifts every mode down by one)
 
-expanded per mode via U* f(K) = f(K+1) U*.  Each splits into a radial part
-(coefficient differences in k) and an angular part (B-differences times
-undifferenced coefficients), mirroring (F/2ρ)(ρ∂ρ + i∂φ) on the flat disk.
+expanded per mode via U* f(K) = f(K+1) U*.  On the coefficients c of input
+mode m, n = |m|, every case is one two-term stencil (B(-1) = 0)
+
+    out(k) = σ A(k+p) [B(k+n+q) c(k) - B(k+q) c(k+s)],  q = 0 (s = +1), -1 (s = -1)
+
+    case                    s    p     σ
+    D,  g side (m >= 0)    +1   n+1   +1
+    D,  f side (m < 0)     -1   0     -1
+    D̄, f side (m <= 0)    +1   0     -1
+    D̄, g side (m >= 1)    -1   n-1   +1
+
+The bracket depends only on the signed system index a = m (D) or -m (D̄),
+with s = +1 iff a >= 0.  Its homogeneous solutions are the ``aps`` mode
+systems, its inverses the closed forms of ``parametrix``, and its angular
+coefficient summed over k > K the ``hilbert`` tail correction.  The polar
+split writes the bracket as a radial part (the c-difference times the B of
+the later-indexed c) plus an angular part (the B-difference times the
+earlier one), mirroring (F/2ρ)(ρ∂ρ + i∂φ) on the flat disk.
 
 Sign convention at the boundary: with B increasing, the angular coefficients
 converge to +m for input mode m (the normalized B-differences are negative
@@ -22,7 +37,7 @@ that 𝒟(z*) = 1 for the scale-1 quantum-disk weights.
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -43,57 +58,69 @@ __all__ = [
 Which = Literal["D", "Dbar"]
 
 
-def _needs_shrink(a: ToeplitzElement, forward_modes) -> bool:
-    """True when some mode reads k+1 past the edge without a declared tail."""
-    return any(a.tail(m) is None for m in a.modes if forward_modes(m))
+class _Stencil(NamedTuple):
+    s: int
+    p: int
+    sigma: int
+    n: int
+    q: int
+
+
+def _stencil(shift: int, m: int) -> _Stencil:
+    """Stencil table row of D (shift +1) or D̄ (shift -1) at input mode m."""
+    s = 1 if shift * m >= 0 else -1
+    sigma = shift * s
+    return _Stencil(s, abs(m) + s if sigma > 0 else 0, sigma, abs(m), min(s, 0))
+
+
+def _table(w: WeightPair, k_max: int, modes) -> tuple:
+    """``w.table`` wide enough for the stencil of every mode at k <= k_max."""
+    return w.table(k_max + max((abs(m) for m in modes), default=0) + 1)
+
+
+def _coefficients(st: _Stencil, tab: tuple, k_max: int):
+    """(σ A(k+p), B(k+n+q), B(k+q)) for k = 0..k_max, sliced from ``tab``."""
+    a, b, _ = tab
+    lo = st.q + 1  # b[k + 1] = B(k)
+    return (st.sigma * a[st.p: st.p + k_max + 1],
+            b[lo + st.n: lo + st.n + k_max + 1], b[lo: lo + k_max + 1])
+
+
+def _terms(a: ToeplitzElement, w: WeightPair, shift: int):
+    """Per input mode of a: output mode, s, the coefficients σA(k+p),
+    B(k+n+q), B(k+q), and c(k), c(k+s) (continued by value below k = 0)."""
+    tab = _table(w, a.k_max, a.modes)
+    for m, c in a.modes.items():
+        st = _stencil(shift, m)
+        yield (m + shift, st.s, *_coefficients(st, tab, a.k_max), c,
+               a.read(m, st.s, clamp_below=True))
+
+
+def _apply(a: ToeplitzElement, w: WeightPair, shift: int) -> ToeplitzElement:
+    modes = {out: amp * (on_c * c - on_next * nxt)
+             for out, _, amp, on_c, on_next, c, nxt in _terms(a, w, shift)}
+    # reading c(k+1) past k_max costs one valid k, unless the tail is declared
+    shrink = any(a.tail(m) is None for m in a.modes if _stencil(shift, m).s > 0)
+    return ToeplitzElement(a.k_max, modes, {}, a.tail_start,
+                           max(a.k_valid - shrink, -1))
 
 
 def apply_D(a: ToeplitzElement, w: WeightPair) -> ToeplitzElement:
     """D(a) = A(K)[U B(K), a] in Fourier form; output mode = input mode + 1.
 
-    f side (mode m < 0, n = -m):  A(K)(B(K-1) f(K-1) - B(K+n-1) f(K))
-    g side (mode m >= 0, n = m):  A(K+n+1)(B(K+n) g(K) - B(K) g(K+1))
-
-    with B(-1) = f(-1) = 0.  The g side reads g(k+1), so the validity bound
-    shrinks by one unless the tail is declared.
+    The D rows of the stencil table in the module notes.  The g side reads
+    g(k+1), so the validity bound shrinks by one unless the tail is declared.
     """
-    ks = np.arange(a.k_max + 1)
-    modes: dict[int, np.ndarray] = {}
-    for m, c in a.modes.items():
-        if m >= 0:
-            out = w.a_at(ks + m + 1) * (w.b_at(ks + m) * c
-                                        - w.b_at(ks) * a.read(m, +1))
-        else:
-            n = -m
-            out = w.a_at(ks) * (w.b_at(ks - 1) * a.read(m, -1)
-                                - w.b_at(ks + n - 1) * c)
-        modes[m + 1] = modes.get(m + 1, 0.0) + out
-    k_valid = a.k_valid - int(_needs_shrink(a, lambda m: m >= 0))
-    return ToeplitzElement(a.k_max, modes, {}, a.tail_start, max(k_valid, -1))
+    return _apply(a, w, +1)
 
 
 def apply_Dbar(a: ToeplitzElement, w: WeightPair) -> ToeplitzElement:
     """D̄(a) = A(K)[B(K) U*, a]; output mode = input mode - 1.
 
-    f side (mode m <= 0, n = -m): A(K)(B(K) f(K+1) - B(K+n) f(K))
-    g side (mode m >= 1, n = m):  A(K+n-1)(B(K+n-1) g(K) - B(K-1) g(K-1))
-
-    Mode 0 runs through the f side (the diagonal is re-indexed on the fly).
+    The D̄ rows of the stencil table in the module notes; mode 0 runs
+    through the f side (the diagonal is re-indexed on the fly).
     """
-    ks = np.arange(a.k_max + 1)
-    modes: dict[int, np.ndarray] = {}
-    for m, c in a.modes.items():
-        if m <= 0:
-            n = -m
-            out = w.a_at(ks) * (w.b_at(ks) * a.read(m, +1)
-                                - w.b_at(ks + n) * c)
-        else:
-            n = m
-            out = w.a_at(ks + n - 1) * (w.b_at(ks + n - 1) * c
-                                        - w.b_at(ks - 1) * a.read(m, -1))
-        modes[m - 1] = modes.get(m - 1, 0.0) + out
-    k_valid = a.k_valid - int(_needs_shrink(a, lambda m: m <= 0))
-    return ToeplitzElement(a.k_max, modes, {}, a.tail_start, max(k_valid, -1))
+    return _apply(a, w, -1)
 
 
 def polar_split(a: ToeplitzElement, w: WeightPair,
@@ -107,37 +134,15 @@ def polar_split(a: ToeplitzElement, w: WeightPair,
     vanishes, belongs entirely to the angular part), so radial + angular
     still reproduces the full operator exactly.
     """
-    ks = np.arange(a.k_max + 1)
+    shift = {"D": 1, "Dbar": -1}.get(which)
+    if shift is None:
+        raise ValueError(f"which must be 'D' or 'Dbar', got {which!r}")
     radial: dict[int, np.ndarray] = {}
     angular: dict[int, np.ndarray] = {}
-    for m, c in a.modes.items():
-        if which == "D":
-            out_mode = m + 1
-            if m >= 0:
-                rad = w.a_at(ks + m + 1) * w.b_at(ks) * (c - a.read(m, +1))
-                ang = w.a_at(ks + m + 1) * (w.b_at(ks + m) - w.b_at(ks)) * c
-            else:
-                n = -m
-                prev = a.read(m, -1, clamp_below=True)
-                rad = w.a_at(ks) * w.b_at(ks + n - 1) * (prev - c)
-                ang = w.a_at(ks) * (w.b_at(ks - 1)
-                                    - w.b_at(ks + n - 1)) * prev
-        elif which == "Dbar":
-            out_mode = m - 1
-            if m <= 0:
-                n = -m
-                rad = w.a_at(ks) * w.b_at(ks) * (a.read(m, +1) - c)
-                ang = w.a_at(ks) * (w.b_at(ks) - w.b_at(ks + n)) * c
-            else:
-                n = m
-                prev = a.read(m, -1, clamp_below=True)
-                rad = w.a_at(ks + n - 1) * w.b_at(ks + n - 1) * (c - prev)
-                ang = w.a_at(ks + n - 1) * (w.b_at(ks + n - 1)
-                                            - w.b_at(ks - 1)) * prev
-        else:
-            raise ValueError(f"which must be 'D' or 'Dbar', got {which!r}")
-        radial[out_mode] = radial.get(out_mode, 0.0) + rad
-        angular[out_mode] = angular.get(out_mode, 0.0) + ang
+    for out, s, amp, on_c, on_next, c, nxt in _terms(a, w, shift):
+        later, earlier = (on_next, c) if s > 0 else (on_c, nxt)
+        radial[out] = amp * later * (c - nxt)
+        angular[out] = amp * (on_c - on_next) * earlier
     k_valid = max(a.k_valid - 1, -1)
     return (ToeplitzElement(a.k_max, radial, {}, a.tail_start, k_valid),
             ToeplitzElement(a.k_max, angular, {}, a.tail_start, k_valid))
@@ -174,9 +179,7 @@ def boundary_operator_check(f: BoundaryFunction, w: WeightPair, k_max: int,
     if tail_window is None:
         tail_window = max(8, k_max // 64)
     shift = 1 if which == "D" else -1
-    a = extend(f, k_max)
-    out = apply_D(a, w) if which == "D" else apply_Dbar(a, w)
-    got = restrict(out, tail_window)
+    got = restrict(_apply(extend(f, k_max), w, shift), tail_window)
 
     expected = {m + shift: m * c for m, c in f.modes.items() if m != 0}
     errors = {}

@@ -4,7 +4,9 @@ Singular values below tau = sigma_max * 1e-6 / scale_dim count as zero;
 any singular value inside the forbidden band [tau, gap * tau) makes the
 count unreliable and raises IllConditionedError.  Rows are normalized to
 unit length first (rank-preserving equilibration), so sigma_max is O(1)
-and the rule is scale-free.
+and the rule is scale-free.  A caller that hands in a transpose gets its
+columns equilibrated instead: the count is the same, sigma_max and tau
+are those of the column-scaled system (the flat disk's a < 0 systems).
 
 Two routes:
 
@@ -57,18 +59,16 @@ def _check_band(sigmas_in_band: int, threshold: float) -> None:
             f"increase the truncation")
 
 
-def count_null_dense(matrix: np.ndarray, scale_dim: int,
-                     threshold_scale: float = THRESHOLD_SCALE,
-                     gap: float = GAP_RATIO) -> NullCount:
+def count_null_dense(matrix: np.ndarray, scale_dim: int) -> NullCount:
     """Null count of a dense (real or complex) rows x cols matrix."""
     rows, cols = matrix.shape
     norms = np.linalg.norm(matrix, axis=1)
     norms[norms == 0.0] = 1.0
     sigmas = svdvals(matrix / norms[:, None])
     sigma_max = float(sigmas[0]) if len(sigmas) else 0.0
-    threshold = sigma_max * threshold_scale / scale_dim
+    threshold = sigma_max * THRESHOLD_SCALE / scale_dim
     below = int(np.sum(sigmas < threshold))
-    in_band = int(np.sum((sigmas >= threshold) & (sigmas < gap * threshold)))
+    in_band = int(np.sum((sigmas >= threshold) & (sigmas < GAP_RATIO * threshold)))
     _check_band(in_band, threshold)
     structural = max(cols - rows, 0)
     return NullCount(below + structural, sigma_max, threshold, below, structural)
@@ -148,8 +148,6 @@ def _bordered_top(bands: np.ndarray, w: np.ndarray,
 def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
                           cols: int, scale_dim: int,
                           unknowns: int | None = None,
-                          threshold_scale: float = THRESHOLD_SCALE,
-                          gap: float = GAP_RATIO,
                           border: tuple[np.ndarray, np.ndarray] | None = None
                           ) -> NullCount:
     """Null count of an upper-bidiagonal rows x cols matrix B (cols in
@@ -200,10 +198,10 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
         sigma_max = _bordered_top(bands, w, (idx, vals), sigma_max)
         rows += 1
 
-    threshold = sigma_max * threshold_scale / scale_dim
+    threshold = sigma_max * THRESHOLD_SCALE / scale_dim
     structural = abs(rows - cols)
     n_t = _count(threshold)
-    n_band = _count(gap * threshold)
+    n_band = _count(GAP_RATIO * threshold)
     _check_band((n_band - n_t) // 2, threshold)
     if (n_t - structural) % 2:
         raise IllConditionedError(

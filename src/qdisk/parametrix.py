@@ -1,15 +1,16 @@
 """Explicit right inverses Q of D and Q̄ of D̄.
 
-Solving D(a) = b per mode is a two-term recursion in k.  The f side is
-forced from k = 0 upward (no free constant); the g side carries one free
-constant, fixed so the solution's boundary value vanishes — the choice that
-makes the APS machinery work.  Closed forms, with input mode m feeding
-output mode m - 1:
+Solving D(x) = b or D̄(x) = b per mode inverts the stencil (table in the
+``ncops`` notes) at the mode of x.  An s = -1 stencil is forced from k = 0
+upward (B(-1) = 0 leaves no free constant); an s = +1 stencil carries one
+free constant, fixed so the solution's boundary value vanishes — the choice
+that makes the APS machinery work.  Both closed forms are
 
-    m <= 0, n = 1-m:   (Qp)_n(k) = - sum_{j<=k} [B(j)..B(j+n-2) / B(k)..B(k+n-1)] p(j)/A(j)
-    m >= 1, n = m-1:   (Qq)_n(k) = + sum_{j>=k} [B(k)..B(k+n-1) / B(j)..B(j+n)] q(j)/A(n+1+j)
+    x(k) = exp(s G(k)) Σ_j exp(-s H(j)) b(j) / (σ A(j+p)),
 
-and mirrored for Q̄ (input mode m feeds m + 1).  All B-product ratios are
+    G(k) = log B(k)..B(k+n-1),   H(j) = log B(j)..B(j+n+s-1),
+
+summed over j <= k for s = -1 and j >= k for s = +1.  All B-products are
 exp of differences of cumulative log sums, so deep products cannot
 underflow.  The j >= k sums truncate at k_max; when the input still has mass
 there, the neglected tail is bounded by max|coeff| * sum_{j>k_max} 1/A(j)
@@ -24,6 +25,7 @@ import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement, power_UB
 from .hilbert import norm_fourier
+from .ncops import _stencil, _table, apply_D
 from .report import CheckResult, DecompositionError, Report, TruncationWarning
 from .weights import WeightPair
 
@@ -34,10 +36,6 @@ __all__ = [
     "boundary_value_decomposition",
     "BoundaryDecomposition",
 ]
-
-
-def _rev_cumsum(x: np.ndarray) -> np.ndarray:
-    return np.cumsum(x[::-1])[::-1]
 
 
 def _tail_warning(b: ToeplitzElement, w: WeightPair, modes, tail_tol: float) -> None:
@@ -54,7 +52,44 @@ def _tail_warning(b: ToeplitzElement, w: WeightPair, modes, tail_tol: float) -> 
         warnings.warn(
             f"input has coefficients of size {worst:.3e} at the truncation "
             f"edge; neglected parametrix tail bounded by {bound:.3e}",
-            TruncationWarning, stacklevel=3)
+            TruncationWarning, stacklevel=4)
+
+
+def _summands(st, tab: tuple, c: np.ndarray) -> np.ndarray:
+    """exp(-s H(j)) c(j) / (σ A(j+p)) for j = 0..k_max."""
+    a, _, lb = tab
+    size = len(c)
+    h = lb[st.n + st.s: st.n + st.s + size] - lb[:size]
+    return np.exp(-st.s * h) * c * (st.sigma / a[st.p: st.p + size])
+
+
+def _solve(b: ToeplitzElement, w: WeightPair, shift: int,
+           tail_tol: float) -> ToeplitzElement:
+    """Closed-form x with D x = b (shift +1) or D̄ x = b (shift -1)."""
+    tab = _table(w, b.k_max, [m - shift for m in b.modes])
+    lb = tab[2]
+    modes: dict[int, np.ndarray] = {}
+    for m, c in b.modes.items():
+        st = _stencil(shift, m - shift)
+        terms = _summands(st, tab, c)
+        total = np.cumsum(terms) if st.s < 0 else np.cumsum(terms[::-1])[::-1]
+        g = lb[st.n: st.n + len(c)] - lb[:len(c)]
+        modes[m - shift] = np.exp(st.s * g) * total
+    _tail_warning(b, w, [m for m in b.modes if _stencil(shift, m - shift).s > 0],
+                  tail_tol)
+    return ToeplitzElement(b.k_max, modes, {}, b.tail_start, b.k_valid)
+
+
+def _forced_boundary_values(b: ToeplitzElement, w: WeightPair) -> dict[int, complex]:
+    """Boundary values of the forced (s = -1) modes of Q b, by output mode:
+    the limit of the closed form is its full j-sum, since exp(-G(k)) -> 1."""
+    tab = _table(w, b.k_max, [m - 1 for m in b.modes])
+    values = {}
+    for m, c in b.modes.items():
+        st = _stencil(+1, m - 1)
+        if st.s < 0:
+            values[m - 1] = complex(np.sum(_summands(st, tab, c)))
+    return values
 
 
 def apply_Q(b: ToeplitzElement, w: WeightPair, tail_tol: float = 1e-9) -> ToeplitzElement:
@@ -62,58 +97,16 @@ def apply_Q(b: ToeplitzElement, w: WeightPair, tail_tol: float = 1e-9) -> Toepli
 
     The g-side output is the unique solution with vanishing boundary value.
     """
-    k_max = b.k_max
-    span = max((abs(m) for m in b.modes), default=0) + 2
-    lb = w.log_b_cumsum(k_max + span)
-    ks = np.arange(k_max + 1)
-    inv_a = 1.0 / w.a_at(np.arange(k_max + span + 1))
-
-    modes: dict[int, np.ndarray] = {}
-    for m, c in b.modes.items():
-        if m <= 0:
-            n = 1 - m
-            s = lb[ks + n - 1] - lb[ks]          # B(j)..B(j+n-2) at j = ks
-            t = lb[ks + n] - lb[ks]              # B(k)..B(k+n-1)
-            out = -np.exp(-t) * np.cumsum(np.exp(s) * c * inv_a[ks])
-            modes[m - 1] = modes.get(m - 1, 0.0) + out
-        else:
-            n = m - 1
-            r = lb[ks + n] - lb[ks]              # B(k)..B(k+n-1)
-            rb = lb[ks + n + 1] - lb[ks]         # B(j)..B(j+n) at j = ks
-            out = np.exp(r) * _rev_cumsum(np.exp(-rb) * c * inv_a[ks + n + 1])
-            modes[m - 1] = modes.get(m - 1, 0.0) + out
-    _tail_warning(b, w, [m for m in b.modes if m >= 1], tail_tol)
-    return ToeplitzElement(k_max, modes, {}, b.tail_start, b.k_valid)
+    return _solve(b, w, +1, tail_tol)
 
 
 def apply_Qbar(b: ToeplitzElement, w: WeightPair, tail_tol: float = 1e-9) -> ToeplitzElement:
     """Right inverse of D̄: D̄(Q̄b) = b on the interior, modes shifted up by 1.
 
-    Obtained from Q through the conjugation identity
+    It satisfies the conjugation identity
     D̄(a) = b  <=>  D(a*) = -A(K) b* A(K)^{-1}.
     """
-    k_max = b.k_max
-    span = max((abs(m) for m in b.modes), default=0) + 2
-    lb = w.log_b_cumsum(k_max + span)
-    ks = np.arange(k_max + 1)
-    inv_a = 1.0 / w.a_at(np.arange(k_max + span + 1))
-
-    modes: dict[int, np.ndarray] = {}
-    for m, c in b.modes.items():
-        if m >= 0:
-            n = m + 1
-            s = lb[ks + n - 1] - lb[ks]
-            t = lb[ks + n] - lb[ks]
-            out = np.exp(-t) * np.cumsum(np.exp(s) * c * inv_a[ks + n - 1])
-            modes[m + 1] = modes.get(m + 1, 0.0) + out
-        else:
-            n = -m - 1
-            r = lb[ks + n] - lb[ks]
-            rb = lb[ks + n + 1] - lb[ks]
-            out = -np.exp(r) * _rev_cumsum(np.exp(-rb) * c * inv_a[ks])
-            modes[m + 1] = modes.get(m + 1, 0.0) + out
-    _tail_warning(b, w, [m for m in b.modes if m <= -1], tail_tol)
-    return ToeplitzElement(k_max, modes, {}, b.tail_start, b.k_valid)
+    return _solve(b, w, -1, tail_tol)
 
 
 def norm_bound_check(b: ToeplitzElement, w: WeightPair) -> Report:
@@ -175,13 +168,11 @@ def boundary_value_decomposition(a: ToeplitzElement, w: WeightPair,
     the largest-k window of the valid range — there Qb's g side has died
     out, so the ratio is constant and the match is exact, even where the
     generator itself is still O(1/k) away from its limit.  The boundary
-    value at mode -n is the convergent series
-    -sum_j B(j)..B(j+n-2) p_{n-1}(j)/A(j); at mode +n it is c_n.
+    value at a mode m < 0 is the full j-sum of Q's forced closed form (the
+    module notes); at mode +n it is c_n.
     Raises DecompositionError when the split leaves an interior residual
     above tolerance.
     """
-    from .ncops import apply_D  # local import: no module cycle
-
     b = _truncate_to_valid(apply_D(a, w))
     qb = apply_Q(b, w)
     d = a - qb
@@ -214,17 +205,7 @@ def boundary_value_decomposition(a: ToeplitzElement, w: WeightPair,
             f"(tolerance {tol * scale:.3e})")
 
     # boundary values: series on the f side, kernel coefficients on the g side
-    span = max((abs(m) for m in b.modes), default=0) + 2
-    lb = w.log_b_cumsum(a.k_max + span)
-    ks = np.arange(a.k_max + 1)
-    inv_a = 1.0 / w.a_at(ks)
-    bvals: dict[int, complex] = {}
-    for mb, c in b.modes.items():
-        if mb > 0:
-            continue
-        n = 1 - mb
-        s = lb[ks + n - 1] - lb[ks]
-        bvals[mb - 1] = complex(-np.sum(np.exp(s) * c * inv_a))
+    bvals = _forced_boundary_values(b, w)
     for n in range(n_top + 1):
         if coeffs[n] != 0.0:
             bvals[n] = complex(coeffs[n])

@@ -130,6 +130,13 @@ class WeightPair:
         np.cumsum(logs, out=out[1:])
         return out
 
+    def table(self, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, B, L) for one operator call, each evaluated once: A[k] = A(k)
+        for k = 0..k_hi, B[k + 1] = B(k) for k = -1..k_hi (so B[0] = 0) and
+        L = log_b_cumsum(k_hi + 1)."""
+        ks = np.arange(-1, k_hi + 1)
+        return self.a_at(ks[1:]), self.b_at(ks), self.log_b_cumsum(k_hi + 1)
+
     def to_json_dict(self) -> dict:
         return dict(self.descriptor)
 

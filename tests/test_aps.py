@@ -82,11 +82,17 @@ class TestNumericIndex:
             index_numeric(w2, APSProjection(3), 512, mode_range=(-2, 2))
 
     def test_shared_cache_matches_fresh_cache(self, w2):
-        cache = {}
-        for n in (-2, 0, 1, 3):
+        """The cache holds one count per (a, constrained) system, shared by
+        kernel mode m and cokernel mode -m; per_mode is unchanged by it."""
+        cache, systems = {}, set()
+        for n in range(-6, 7):
             shared = index_numeric(w2, APSProjection(n), 256, cache=cache)
             fresh = index_numeric(w2, APSProjection(n), 256)
             assert shared.per_mode == fresh.per_mode
+            systems |= {(r["mode"] if r["side"] == "ker" else -r["mode"],
+                         r["constrained"]) for r in shared.per_mode}
+        assert set(cache) == systems
+        assert len(cache) == 35
 
 
 class TestSolve:

@@ -186,7 +186,7 @@ class TestNullCountRoutes:
             blocks.append(bc)
         system = np.vstack(blocks)
         dense = count_null_dense(system, m_points)
-        fast = _mode_nullity(a, constrained, m_points, 1e-6, 100.0)
+        fast = _mode_nullity(a, constrained, m_points)
         assert dense.nullity == fast.nullity
         # for a < 0 the route counts the transpose, so it equilibrates the
         # system's columns: its sigma_max is that of the transposed oracle
@@ -197,8 +197,8 @@ class TestNullCountRoutes:
     def test_expected_counts(self):
         from qdisk.classical import _mode_nullity
         for a in range(0, 6):
-            assert _mode_nullity(a, False, 2048, 1e-6, 100.0).nullity == 1
-            assert _mode_nullity(a, True, 2048, 1e-6, 100.0).nullity == 0
+            assert _mode_nullity(a, False, 2048).nullity == 1
+            assert _mode_nullity(a, True, 2048).nullity == 0
         for a in range(-6, 0):
-            assert _mode_nullity(a, False, 2048, 1e-6, 100.0).nullity == 0
-            assert _mode_nullity(a, True, 2048, 1e-6, 100.0).nullity == 0
+            assert _mode_nullity(a, False, 2048).nullity == 0
+            assert _mode_nullity(a, True, 2048).nullity == 0

@@ -21,12 +21,13 @@ from qdisk.nullity import count_null_bidiagonal, count_null_dense
 
 
 def _sweep_jobs(nmin=-6, nmax=6):
-    """Every (side, mode, constrained) system of an index sweep."""
+    """Every (a, constrained) system of an index sweep: kernel mode m is
+    a = m, cokernel mode m is a = -m."""
     jobs = set()
     for n in range(nmin, nmax + 1):
         for m in range(-abs(n) - 4, abs(n) + 5):
-            jobs.add(("ker", m, m > n))
-            jobs.add(("coker", m, m <= n + 1))
+            jobs.add((m, m > n))
+            jobs.add((-m, m <= n + 1))
     return sorted(jobs)
 
 
@@ -35,39 +36,45 @@ def _sweep_jobs(nmin=-6, nmax=6):
 def test_structured_count_matches_dense_on_the_sweep(k_max, mu):
     w = quantum_disk_weights(mu, 2.0)
     window = k_max // 16
-    for side, m, constrained in _sweep_jobs():
-        diag, upper, rows, cols, border = _mode_bands(w, side, m, k_max,
-                                                      window, constrained)
+    for a, constrained in _sweep_jobs():
+        diag, upper, rows, cols, border = _mode_bands(w, a, k_max, window,
+                                                      constrained)
         got = count_null_bidiagonal(diag, upper, rows, cols, k_max,
                                     border=border)
         want = count_null_dense(
-            _mode_matrix(w, side, m, k_max, window, constrained), k_max)
-        job = (side, m, constrained)
+            _mode_matrix(w, a, k_max, window, constrained), k_max)
+        job = (a, constrained)
         assert (got.nullity, got.n_below, got.structural) == (
             want.nullity, want.n_below, want.structural), job
         assert got.sigma_max == pytest.approx(want.sigma_max, rel=1e-12), job
         assert got.threshold == pytest.approx(want.threshold, rel=1e-12), job
+        # kernel mode a and cokernel mode -a: the D-bar system is the
+        # negated D system, and the shared count must not see the sign
+        assert count_null_bidiagonal(-diag, -upper, rows, cols, k_max,
+                                     border=border) == got, job
 
 
 @pytest.mark.parametrize("side", ["ker", "coker"])
 @pytest.mark.parametrize("m", [-3, -1, 0, 1, 2])
 def test_mode_system_rows_are_the_operator_stencil(w2, side, m):
-    """Up to a positive row factor, row k of the unconstrained mode system is
-    coefficient k of D (side 'ker') or D̄ (side 'coker') applied to mode m."""
+    """Up to a positive row factor, row k of the unconstrained mode system
+    at a = m (side 'ker') or a = -m (side 'coker') is coefficient k of D
+    resp. minus D̄ applied to mode m."""
     k_max = 32
     op = apply_D if side == "ker" else apply_Dbar
     out_mode = m + 1 if side == "ker" else m - 1
+    sign = 1.0 if side == "ker" else -1.0
     stencil = np.stack([
         op(ToeplitzElement(k_max, {m: np.eye(k_max + 1)[j].astype(complex)}),
            w2).coeff(out_mode).real
         for j in range(k_max + 1)], axis=1)
-    mat = _mode_matrix(w2, side, m, k_max, 8, False)
+    mat = _mode_matrix(w2, m if side == "ker" else -m, k_max, 8, False)
     if len(mat) == k_max + 1:  # square systems are stored reversed
         mat = mat[::-1, ::-1]
     stencil = stencil[: len(mat)]
     np.testing.assert_allclose(
         mat / np.linalg.norm(mat, axis=1)[:, None],
-        stencil / np.linalg.norm(stencil, axis=1)[:, None], atol=1e-14)
+        sign * stencil / np.linalg.norm(stencil, axis=1)[:, None], atol=1e-14)
 
 
 @settings(max_examples=150, deadline=None)

@@ -82,6 +82,32 @@ class TestRightInverse:
             np.testing.assert_allclose(q.coeff(n)[:33], g[:33],
                                        rtol=1e-11, atol=1e-13)
 
+    def test_qbar_row_by_row_substitution(self, rng, w2):
+        """Row-by-row substitution of the D̄ recursions reproduces Q̄ at
+        k <= 32: an oracle that shares nothing with Q's closed form."""
+        b = random_element(rng, 64, -3, 3, k_support=65)
+        q = apply_Qbar(b, w2)
+        for mb in range(0, 4):  # g-side outputs, forced from k = 0
+            n = mb + 1
+            p = b.coeff(mb)
+            g = np.zeros(65, dtype=complex)
+            g[0] = p[0] / (w2.a_at(n - 1) * w2.b_at(n - 1))
+            for k in range(1, 33):
+                g[k] = (w2.b_at(k - 1) * g[k - 1]
+                        + p[k] / w2.a_at(k + n - 1)) / w2.b_at(k + n - 1)
+            np.testing.assert_allclose(q.coeff(n)[:33], g[:33],
+                                       rtol=1e-11, atol=1e-13)
+        for mb in range(-3, 0):  # f-side, forward from the closed-form f(0)
+            n = -(mb + 1)
+            qq = b.coeff(mb)
+            f = np.zeros(66, dtype=complex)
+            f[0] = q.coeff(mb + 1)[0]
+            for k in range(33):
+                f[k + 1] = (w2.b_at(k + n) * f[k]
+                            + qq[k] / w2.a_at(k)) / w2.b_at(k)
+            np.testing.assert_allclose(q.coeff(mb + 1)[:33], f[:33],
+                                       rtol=1e-11, atol=1e-13)
+
     def test_conjugation_route_consistency(self, rng, w2):
         """(Q̄ b)* = Q(-A b* A^{-1}): both routes coefficientwise."""
         dim = K + 1
