@@ -190,8 +190,7 @@ def _mode_nullity(a: int, constrained: bool, m_points: int):
                                  unknowns=m_points)
 
 
-def index_classical(p: APSProjection, weight: ClassicalWeight,
-                    m_points: int = 2048,
+def index_classical(p: APSProjection, m_points: int = 2048,
                     mode_range: tuple[int, int] | None = None,
                     cache: dict | None = None) -> NumericIndex:
     """Index of the boundary-conditioned flat-disk operator by Sturm

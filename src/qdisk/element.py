@@ -200,12 +200,6 @@ class BoundaryFunction:
     def coeff(self, m: int) -> complex:
         return self.modes.get(m, 0.0 + 0.0j)
 
-    @property
-    def mode_span(self) -> tuple[int, int]:
-        if not self.modes:
-            return (0, 0)
-        return (min(self.modes), max(self.modes))
-
     def conjugate(self) -> "BoundaryFunction":
         return BoundaryFunction({-m: np.conj(c) for m, c in self.modes.items()})
 
@@ -213,10 +207,6 @@ class BoundaryFunction:
         """Angular derivative: mode m picks up the factor i*m."""
         return BoundaryFunction({m: 1j * m * c for m, c in self.modes.items()
                                  if m != 0})
-
-    def shift(self, s: int) -> "BoundaryFunction":
-        """Multiplication by e^{i s phi}."""
-        return BoundaryFunction({m + s: c for m, c in self.modes.items()})
 
     def __add__(self, other: "BoundaryFunction") -> "BoundaryFunction":
         out = dict(self.modes)
@@ -232,9 +222,6 @@ class BoundaryFunction:
         return BoundaryFunction({m: c * s for m, c in self.modes.items()})
 
     __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.modes.values()), default=0.0)
 
     def to_json_dict(self) -> dict:
         return {"modes": [{"m": m, "re": complex(c).real, "im": complex(c).imag}

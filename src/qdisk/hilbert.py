@@ -74,11 +74,15 @@ def inner_product_fourier(a: ToeplitzElement, b: ToeplitzElement,
     """Fourier-form pairing: per-mode k-sums with the shifted 1/A weights."""
     if a.k_max != b.k_max:
         raise ValueError("elements must share k_max")
-    ks = np.arange(a.k_max + 1)
+    shared = set(a.modes) & set(b.modes)
+    if not shared:
+        return 0j
+    size = a.k_max + 1
+    inv_a = 1.0 / w.a_at(np.arange(size + max(max(shared), 0)))
     total = 0.0 + 0.0j
-    for m in set(a.modes) & set(b.modes):
+    for m in shared:
         shift = m if m >= 0 else 0
-        weight = 1.0 / w.a_at(ks + shift)
+        weight = inv_a[shift: shift + size]
         total += np.sum(b.coeff(m) * np.conj(a.coeff(m)) * weight)
     return complex(total)
 

@@ -109,27 +109,32 @@ def apply_Qbar(b: ToeplitzElement, w: WeightPair, tail_tol: float = 1e-9) -> Toe
     return _solve(b, w, -1, tail_tol)
 
 
-def norm_bound_check(b: ToeplitzElement, w: WeightPair) -> Report:
-    """Verify ||Qb|| <= (1/B(0)) (sum_j 1/A(j)) ||b|| at truncation.
+def _norm_bound(norm_qb: float, norm_b: float, w: WeightPair,
+                k_max: int) -> tuple[float, bool]:
+    """The constant C = (1/B(0)) (sum_j 1/A(j)) of ||Qb|| <= C ||b||, and
+    whether the bound holds.
 
     The reciprocal sum is the k <= k_max partial sum plus the closed-form
-    tail bound, so the right-hand side dominates the untruncated constant.
+    tail bound, so C dominates the untruncated constant.
     """
-    qb = apply_Q(b, w)
-    lhs = norm_fourier(qb, w)
+    constant = (w.inv_a_partial_sum(k_max) + w.inv_a_tail(k_max)) / float(w.b_at(0))
+    return constant, norm_qb <= constant * norm_b * (1.0 + 1e-12) + 1e-300
+
+
+def norm_bound_check(b: ToeplitzElement, w: WeightPair) -> Report:
+    """Verify ||Qb|| <= (1/B(0)) (sum_j 1/A(j)) ||b|| at truncation."""
+    lhs = norm_fourier(apply_Q(b, w), w)
     nb = norm_fourier(b, w)
-    inv_sum = w.inv_a_partial_sum(b.k_max) + w.inv_a_tail(b.k_max)
-    rhs = inv_sum / float(w.b_at(0)) * nb
-    ratio = lhs / nb if nb > 0 else 0.0
+    constant, passed = _norm_bound(lhs, nb, w, b.k_max)
     report = Report("parametrix-bound")
     report.add(CheckResult(
         check="norm-bound",
         claim="parametrix-bounded",
         params={"k_max": b.k_max},
-        observed={"lhs": lhs, "rhs": rhs, "norm_b": nb, "ratio": ratio,
-                  "bound_constant": inv_sum / float(w.b_at(0))},
-        expected={"lhs_below": rhs},
-        passed=lhs <= rhs * (1.0 + 1e-12) + 1e-300,
+        observed={"lhs": lhs, "rhs": constant * nb, "norm_b": nb,
+                  "ratio": lhs / nb if nb > 0 else 0.0, "bound_constant": constant},
+        expected={"lhs_below": constant * nb},
+        passed=passed,
     ))
     return report
 

@@ -58,11 +58,10 @@ def test_criterion_01_index_theorem_nc(nc_counts):
 def test_criterion_02_index_theorem_classical(nc_counts):
     """The flat-disk discretization reproduces the same counts row for row."""
     counts, _ = nc_counts
-    weight = constant_classical_weight()
     cache = {}
     ok = True
     for n in range(-6, 7):
-        res = index_classical(APSProjection(n), weight, M_GRID, cache=cache)
+        res = index_classical(APSProjection(n), M_GRID, cache=cache)
         triple = (res.dim_ker, res.dim_coker, res.index)
         ok = ok and res.matches_analytic and res.index == n + 1
         for mu in MUS:

@@ -130,18 +130,18 @@ class TestIntegrationByParts:
 
 class TestClassicalIndex:
     def test_cutoff_zero(self):
-        res = index_classical(APSProjection(0), F2, 2048)
+        res = index_classical(APSProjection(0), 2048)
         assert (res.dim_ker, res.dim_coker, res.index) == (1, 0, 1)
         assert res.matches_analytic
 
     def test_negative_cutoff(self):
-        res = index_classical(APSProjection(-4), F2, 2048)
+        res = index_classical(APSProjection(-4), 2048)
         assert (res.dim_ker, res.dim_coker, res.index) == (0, 3, -3)
 
     def test_sweep_matches_counting(self):
         cache = {}
         for n in range(-6, 7):
-            res = index_classical(APSProjection(n), F2, 2048, cache=cache)
+            res = index_classical(APSProjection(n), 2048, cache=cache)
             assert res.index == n + 1
             assert res.matches_analytic
 
@@ -151,8 +151,8 @@ class TestClassicalIndex:
         kernel mode m and cokernel mode -m; per_mode is unchanged by it."""
         cache, systems = {}, set()
         for n in range(-6, 7):
-            shared = index_classical(APSProjection(n), F2, 2048, cache=cache)
-            fresh = index_classical(APSProjection(n), F2, 2048)
+            shared = index_classical(APSProjection(n), 2048, cache=cache)
+            fresh = index_classical(APSProjection(n), 2048)
             assert shared.per_mode == fresh.per_mode
             systems |= {(r["mode"] if r["side"] == "ker" else -r["mode"],
                          r["constrained"]) for r in shared.per_mode}

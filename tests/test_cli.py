@@ -1,9 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from qdisk.cli import main
+from qdisk import (ToeplitzElement, apply_D, apply_Dbar, apply_Q, apply_Qbar,
+                   integration_by_parts_residual, norm_bound_check, norm_fourier,
+                   parametrix, quantum_disk_weights, random_element)
+from qdisk import cli
+from qdisk.cli import build_parser, main
 
 
 def run(args):
@@ -76,6 +81,56 @@ class TestParametrixCheck:
         worst = [c for c in report["checks"] if c["check"] == "worst-instance"]
         assert worst and worst[0]["observed"]["element"]["modes"]
 
+    def test_worst_instance_replays_the_residual(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run(["parametrix-check", "--trials", "5", "--seed", "1",
+                    "--kmax", "128", "--tol", "1e-16", "--json", str(out)]) == 1
+        report = json.loads(out.read_text())
+        first = report["checks"][0]["observed"]
+        worst = [c for c in report["checks"] if c["check"] == "worst-instance"][0]
+        assert worst["observed"]["trial"] == first["worst_trial"]
+        b = ToeplitzElement.from_json_dict(worst["observed"]["element"])
+        w = quantum_disk_weights(1.0, 2.0)
+        nb = norm_fourier(b, w)
+        residual = max(norm_fourier(apply_D(apply_Q(b, w), w) - b, w) / nb,
+                       norm_fourier(apply_Dbar(apply_Qbar(b, w), w) - b, w) / nb)
+        assert residual == first["worst_residual"]
+
+    def test_q_applied_once_per_trial(self, tmp_path, monkeypatch):
+        """Counted inside the parametrix module, so that every route to Q
+        (the residual and the norm bound) is seen: 5 trials, 5 calls."""
+        shifts = []
+        solve = parametrix._solve
+        monkeypatch.setattr(parametrix, "_solve",
+                            lambda b, w, shift, tol: shifts.append(shift)
+                            or solve(b, w, shift, tol))
+        assert run(["parametrix-check", "--trials", "5", "--kmax", "64",
+                    "--json", str(tmp_path / "p.json")]) == 0
+        assert shifts.count(+1) == 5
+
+    def test_worst_ratio_is_the_largest_norm_bound_ratio(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run(["parametrix-check", "--trials", "6", "--seed", "4",
+                    "--kmax", "128", "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        rng = np.random.default_rng(4)
+        w = quantum_disk_weights(1.0, 2.0)
+        ratios = [norm_bound_check(random_element(rng, 128, -6, 6, k_support=64),
+                                   w)["norm-bound"].observed["ratio"]
+                  for _ in range(6)]
+        assert report["checks"][1]["observed"]["worst_ratio"] == max(ratios)
+
+    def test_passing_run_serialises_no_element(self, tmp_path, monkeypatch):
+        calls = []
+        original = ToeplitzElement.to_json_dict
+        monkeypatch.setattr(ToeplitzElement, "to_json_dict",
+                            lambda self: calls.append(self) or original(self))
+        assert run(["parametrix-check", "--trials", "5", "--kmax", "64",
+                    "--json", str(tmp_path / "p.json")]) == 0
+        assert run(["ibp-check", "--trials", "5", "--kmax", "64",
+                    "--json", str(tmp_path / "i.json")]) == 0
+        assert calls == []
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["parametrix-check", "--trials", "10", "--seed", "7",
@@ -93,6 +148,36 @@ class TestIbpCheck:
                     "--json", str(out)]) == 0
         assert json.loads(out.read_text())["pass"] is True
 
+    def test_worst_instance_replays_the_residual(self, tmp_path):
+        out = tmp_path / "i.json"
+        assert run(["ibp-check", "--trials", "4", "--seed", "3", "--kmax", "128",
+                    "--tol", "0", "--json", str(out)]) == 1
+        report = json.loads(out.read_text())
+        first = report["checks"][0]["observed"]
+        worst = [c for c in report["checks"] if c["check"] == "worst-instance"][0]
+        assert set(worst["observed"]) == {"a", "b", "trial"}
+        assert worst["observed"]["trial"] == first["worst_trial"]
+        a, b = (ToeplitzElement.from_json_dict(worst["observed"][name])
+                for name in ("a", "b"))
+        w = quantum_disk_weights(1.0, 2.0)
+        assert integration_by_parts_residual(a, b, w) == first["worst_residual"]
+
+
+class TestSuiteLoop:
+    def test_nan_residual_fails_the_suite(self, tmp_path, monkeypatch):
+        """A NaN residual is the worst trial (the first NaN, if several),
+        not a trial that never compares above the running maximum."""
+        residuals = iter([1e-12, float("nan"), 2e-12, float("nan")])
+        monkeypatch.setattr(cli, "integration_by_parts_residual",
+                            lambda a, b, w: next(residuals))
+        out = tmp_path / "i.json"
+        assert run(["ibp-check", "--trials", "4", "--kmax", "16",
+                    "--json", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert report["checks"][0]["observed"]["worst_trial"] == 1
+        assert report["checks"][-1]["observed"]["trial"] == 1
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -100,3 +185,37 @@ class TestUsage:
 
     def test_bad_flag_value(self):
         assert run(["index-sweep", "--variant", "quantum"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["parametrix-check", "--trials", "0"],
+        ["parametrix-check", "--trials", "-3"],
+        ["ibp-check", "--trials", "0"],
+        ["parametrix-check", "--kmax", "0"],
+        ["parametrix-check", "--kmax", "1"],
+        ["index-sweep", "--nmin", "3", "--nmax", "1"],
+        ["index-sweep", "--variant", "classical", "--mu", "0"],
+        ["index-sweep", "--variant", "classical", "--scale", "0"],
+        ["ibp-check", "--trials", "1", "--scale", "-1"],
+        ["parametrix-check", "--trials", "1", "--mu", "1.5"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        flag = "--out" if argv[0] == "index-sweep" else "--json"
+        assert run([*argv, flag, str(out)]) == 2
+        assert not out.exists()
+        assert "usage error" in capsys.readouterr().err
+
+    def test_shared_flags_keep_per_command_defaults(self):
+        parser = build_parser()
+        expected = {
+            "verify-weights": {"mu": 1.0, "scale": 2.0, "kmax": 10000, "tol": 1e-3,
+                               "json": None},
+            "index-sweep": {"mu": None, "scale": 2.0, "kmax": 512, "grid": 2048},
+            "parametrix-check": {"trials": 100, "seed": 0, "mu": 1.0, "scale": 2.0,
+                                 "kmax": 512, "tol": 1e-10, "json": None},
+            "ibp-check": {"trials": 50, "seed": 0, "mu": 1.0, "scale": 2.0,
+                          "kmax": 512, "tol": 1e-6, "json": None},
+        }
+        for command, defaults in expected.items():
+            args = vars(parser.parse_args([command]))
+            assert {k: args[k] for k in defaults} == defaults, command

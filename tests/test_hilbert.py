@@ -76,6 +76,24 @@ class TestNormFourier:
         ip = inner_product_fourier(a, a, w2)
         assert norm_fourier(a, w2) ** 2 == pytest.approx(ip.real, rel=1e-14)
 
+    def test_one_weight_evaluation_per_pairing(self, rng, w2):
+        """A is evaluated once per pairing and sliced per mode; the sums are
+        bitwise those of a per-mode evaluation of 1/A(k + max(m, 0))."""
+        from qdisk import custom_weights
+        calls = []
+        w = custom_weights(lambda k: calls.append(k) or w2.a_fn(k), w2.b_fn,
+                           validate=False)
+        a = random_element(rng, K, -5, 5)
+        b = random_element(rng, K, -3, 7)
+        got = inner_product_fourier(a, b, w)
+        assert len(calls) == 1
+        ks = np.arange(K + 1)
+        expected = 0.0 + 0.0j
+        for m in set(a.modes) & set(b.modes):
+            weight = 1.0 / w2.a_at(ks + max(m, 0))
+            expected += np.sum(b.coeff(m) * np.conj(a.coeff(m)) * weight)
+        assert got == complex(expected)
+
 
 class TestAbelIdentity:
     def test_constant_first_sequence(self, rng):
