@@ -154,8 +154,7 @@ def _sweep(p: APSProjection, mode_range: tuple[int, int] | None,
                 cache[a, constrained] = count(a, constrained)
             res = cache[a, constrained]
             per_mode.append({"side": side, "mode": m, "constrained": constrained,
-                             "nullity": res.nullity, "sigma_max": res.sigma_max,
-                             "threshold": res.threshold})
+                             "nullity": res.nullity, "threshold": res.threshold})
             dims[side] += res.nullity
     analytic = index_analytic(p)
     counts = (dims["ker"], dims["coker"], dims["ker"] - dims["coker"])

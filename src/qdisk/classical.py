@@ -202,11 +202,6 @@ def index_classical(p: APSProjection, m_points: int = 2048,
     changes a kernel.  Counts must match the shift-algebra sweep mode for
     mode.  ``cache`` maps (a, constrained) to its null count, one entry per
     distinct system; ``per_mode`` still lists every (side, mode).
-
-    For a < 0 the count runs on the transposed system, so ``sigma_max``
-    and ``threshold`` in ``per_mode`` belong to the column-equilibrated
-    system, not the row-equilibrated one of the ``nullity`` notes; the
-    nullity is the same.  A row-equilibrated count would cost twice as much.
     """
     return _sweep(p, mode_range, cache,
                   lambda a, constrained: _mode_nullity(a, constrained, m_points))

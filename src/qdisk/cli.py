@@ -3,8 +3,9 @@
 Subcommands run the library's verification suites and emit JSON/CSV
 reports.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 3 numerical conditioning failure.  Bad sizes exit 2: --trials below 1 or
---kmax below 2 for the suites, --nmin above --nmax for index-sweep.  Given
-a fixed --seed, reports are byte-for-byte reproducible (no timestamps).
+--kmax below 2 for the suites, --nmin above --nmax or --grid below 2 for
+index-sweep.  Given a fixed --seed, reports are byte-for-byte reproducible
+(no timestamps).
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ def cmd_verify_weights(args: argparse.Namespace) -> int:
 def cmd_index_sweep(args: argparse.Namespace) -> int:
     if args.nmin > args.nmax:
         raise ValueError(f"empty cutoff range: --nmin {args.nmin} > --nmax {args.nmax}")
+    if args.grid < 2:
+        raise ValueError(f"need --grid >= 2, got {args.grid}")
     # built for either variant, so a bad --mu or --scale is always a usage error
     weights = [(mu, quantum_disk_weights(mu, args.scale)) for mu in args.mu or [1.0]]
     sweeps = []  # (variant, mu, size, index function of (projection, cache))

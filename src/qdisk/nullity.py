@@ -1,12 +1,16 @@
 """Numerical null-space counting with an auditable threshold and gap rule.
 
-Singular values below tau = sigma_max * 1e-6 / scale_dim count as zero;
-any singular value inside the forbidden band [tau, gap * tau) makes the
-count unreliable and raises IllConditionedError.  Rows are normalized to
-unit length first (rank-preserving equilibration), so sigma_max is O(1)
-and the rule is scale-free.  A caller that hands in a transpose gets its
-columns equilibrated instead: the count is the same, sigma_max and tau
-are those of the column-scaled system (the flat disk's a < 0 systems).
+Rows are normalized to unit length first (rank-preserving equilibration).
+Singular values below tau = THRESHOLD_SCALE * SIGMA_SCALE / scale_dim
+count as zero; any singular value inside the forbidden band
+[tau, GAP_RATIO * tau) makes the count unreliable and raises
+IllConditionedError.  SIGMA_SCALE = sqrt(2) stands in for sigma_max, which
+is never computed: every counted system is bidiagonal, plus at most one
+border row, and row-equilibrated, so 1 <= sigma_max <= 2 (constant note
+below).  Both routes use this one threshold; they differ only in how they
+find the singular values below it.  A caller that hands in a transpose
+(the flat disk's a < 0 systems) gets its columns equilibrated instead:
+the count is the same, and the transpose is bidiagonal too.
 
 Two routes:
 
@@ -14,16 +18,13 @@ Two routes:
   bordered by one dense row w.  Singular values of B are the eigenvalues of
   its interleaved (Golub-Kahan) zero-diagonal tridiagonal T.  A threshold
   query is one pair of Sturm counts on T, at -t and t, in O(size) with
-  absolute accuracy eps * sigma_max: the bisection tolerance is set wider
-  than (-t, t), so LAPACK stebz returns the count without refining any
-  eigenvalue.  The counts stay on T because squaring would lose the small
-  singular values.  sigma_max^2 is the top eigenvalue of the Gram
-  tridiagonal B B^T, half the size of T; only the top is read from it.
-  The border changes the inertia of H - tI, H the Golub-Kahan matrix of the
-  bordered system, by the sign of the Schur complement
-  s(t) = -t - w^T (T - tI)^{-1} w (Haynsworth), one banded solve per query;
-  sigma_max is the root of s above lambda_max(T).  Dot products with w run
-  over its support only.
+  absolute accuracy eps * sigma_max: LAPACK dstebz is called directly with
+  a bisection tolerance wider than (-t, t), so it returns the count
+  without refining any eigenvalue.  The counts stay on T because squaring
+  would lose the small singular values.  The border changes the inertia of
+  H - tI, H the Golub-Kahan matrix of the bordered system, by the sign of
+  the Schur complement s(t) = -t - w^T (T - tI)^{-1} w (Haynsworth), one
+  banded solve per query.  Dot products with w run over its support only.
 * dense: scipy svdvals on the full matrix, O(K^3) — the test oracle.
 """
 
@@ -32,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded, svdvals
+from scipy.linalg import solve_banded, svdvals
+from scipy.linalg.lapack import dstebz
 
 from .report import IllConditionedError
 
@@ -40,15 +42,24 @@ __all__ = ["NullCount", "count_null_dense", "count_null_bidiagonal"]
 
 THRESHOLD_SCALE = 1e-6
 GAP_RATIO = 100.0
+# Nominal sigma_max of a row-equilibrated system.  Unit rows give
+# sigma_max >= 1; a bidiagonal B has ||B||_inf <= sqrt(2) and ||B||_1 <= 2,
+# so sigma_max <= (||B||_1 ||B||_inf)^(1/2) <= 2^(3/4), and a unit border
+# row adds at most 1 to sigma_max^2: sigma_max lies in [1, 2] (Golub & Van
+# Loan, Matrix Computations, 2.3).  The sweep systems measure sqrt(2).
+SIGMA_SCALE = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class NullCount:
     nullity: int
-    sigma_max: float
     threshold: float
     n_below: int
     structural: int  # columns minus rows, when positive
+
+
+def _threshold(scale_dim: int) -> float:
+    return THRESHOLD_SCALE * SIGMA_SCALE / scale_dim
 
 
 def _check_band(sigmas_in_band: int, threshold: float) -> None:
@@ -65,13 +76,12 @@ def count_null_dense(matrix: np.ndarray, scale_dim: int) -> NullCount:
     norms = np.linalg.norm(matrix, axis=1)
     norms[norms == 0.0] = 1.0
     sigmas = svdvals(matrix / norms[:, None])
-    sigma_max = float(sigmas[0]) if len(sigmas) else 0.0
-    threshold = sigma_max * THRESHOLD_SCALE / scale_dim
+    threshold = _threshold(scale_dim)
     below = int(np.sum(sigmas < threshold))
     in_band = int(np.sum((sigmas >= threshold) & (sigmas < GAP_RATIO * threshold)))
     _check_band(in_band, threshold)
     structural = max(cols - rows, 0)
-    return NullCount(below + structural, sigma_max, threshold, below, structural)
+    return NullCount(below + structural, threshold, below, structural)
 
 
 def _interleaved_offdiagonal(diag: np.ndarray, upper: np.ndarray,
@@ -85,25 +95,20 @@ def _interleaved_offdiagonal(diag: np.ndarray, upper: np.ndarray,
     return off
 
 
-def _gram_top(diag: np.ndarray, upper: np.ndarray) -> float:
-    """sigma_max of the upper-bidiagonal matrix B whose row j holds diag[j]
-    and upper[j] (zero past its end): the square root of lambda_max of the
-    rows x rows tridiagonal B B^T, diagonal diag^2 + upper^2 and
-    off-diagonal upper[j] * diag[j+1]."""
-    rows = len(diag)
-    upper = np.r_[upper, np.zeros(rows - len(upper))]
-    top = eigvalsh_tridiagonal(diag * diag + upper * upper,
-                               upper[:-1] * diag[1:], select="i",
-                               select_range=(rows - 1, rows - 1))
-    return float(np.sqrt(top[0]))
-
-
-def _count_within(off: np.ndarray, t: float) -> int:
-    """Eigenvalues in (-t, t] of the zero-diagonal tridiagonal with
-    off-diagonal ``off``.  A bisection tolerance wider than the interval
-    makes stebz return after the two endpoint Sturm counts."""
-    return len(eigvalsh_tridiagonal(np.zeros(len(off) + 1), off, select="v",
-                                    select_range=(-t, t), tol=4.0 * t))
+def _count_within(zeros: np.ndarray, off: np.ndarray, t: float) -> int:
+    """Eigenvalues in (-t, t] of the tridiagonal with diagonal ``zeros``
+    (all zero) and off-diagonal ``off``: dstebz with range "V" (1), the
+    values in (vl, vu].  A bisection tolerance wider than the interval
+    makes it return after the two endpoint Sturm counts.  The caller keeps
+    one ``zeros`` for all its queries: a fresh array per query of a long T
+    costs page faults on every query."""
+    count, _, _, _, info = dstebz(zeros, off, 1, -t, t, 0, 0, 4.0 * t, "E")
+    if info > 0:
+        raise IllConditionedError(
+            f"Sturm count did not converge at t={t:.3e} (dstebz info={info})")
+    if info < 0:
+        raise RuntimeError(f"dstebz rejected argument {-info}")
+    return count
 
 
 def _shifted_solve(bands: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
@@ -116,35 +121,6 @@ def _shifted_solve(bands: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
             f"shifted Golub-Kahan matrix is singular at t={t:.3e}") from exc
 
 
-def _bordered_top(bands: np.ndarray, w: np.ndarray,
-                  support: tuple[np.ndarray, np.ndarray], top: float) -> float:
-    """Top eigenvalue of [[T, w], [w^T, 0]], ``top`` = lambda_max(T) and
-    ``support`` = (indices, values) the nonzero entries of w: the root
-    above ``top`` of s(x), which is convex and decreasing there, so Newton
-    steps from its left climb to it monotonically.  They start at the Ritz
-    value on span{(y, 0), e_border}, y one inverse-iteration step towards
-    T's top eigenvector, which cannot exceed the root; s <= 0 there already
-    puts the root between ``top`` and the start.  y^T y is a ufunc sum, not
-    a BLAS dot: unpinned BLAS threads a long dot product at a cost above
-    that of the whole banded solve."""
-    idx, vals = support
-    x = top * (1.0 + 1e-13)
-    y = _shifted_solve(bands, w, x)
-    wy, yy = vals @ y[idx], np.sum(y * y)
-    rho = x + wy / yy  # Rayleigh quotient y^T T y / y^T y
-    x = max(x, 0.5 * (rho + np.sqrt(rho * rho + 4.0 * wy * wy / yy)))
-    for _ in range(100):
-        y = _shifted_solve(bands, w, x)
-        s = -x - vals @ y[idx]
-        if s <= 0.0:
-            break
-        step = s / (1.0 + np.sum(y * y))
-        x += step
-        if step <= 1e-16 * x:
-            break
-    return float(x)
-
-
 def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
                           cols: int, scale_dim: int,
                           unknowns: int | None = None,
@@ -155,9 +131,10 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
 
     Eigenvalues of T come in ±sigma pairs plus |rows - cols| structural
     zeros, so the count of eigenvalues in (-t, t) is
-    2 * #{sigma < t} + |rows - cols|.  Each threshold query is count-only
-    (two Sturm counts on T); sigma_max is read from the Gram tridiagonal
-    B B^T, half the size of T.
+    2 * #{sigma < t} + |rows - cols|.  The threshold is the fixed one of
+    the module notes, so a count is two count-only dstebz queries on T
+    (at tau and GAP_RATIO * tau) sharing one zero diagonal, and no
+    eigenvalue is computed.
 
     ``unknowns`` is the column count of the system whose null space is
     wanted; pass the original one when the matrix handed in is a transpose
@@ -180,10 +157,10 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
 
     off = _interleaved_offdiagonal(diag, upper, rows, cols)
     size = rows + cols
-    sigma_max = _gram_top(diag, upper)
+    zeros = np.zeros(size)
 
     def _count(t: float) -> int:
-        count = _count_within(off, t)
+        count = _count_within(zeros, off, t)
         if border is None:
             return count
         s = -t - vals @ _shifted_solve(bands, w, t)[idx]
@@ -195,10 +172,9 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
         w = np.zeros(size)
         w[idx] = vals
         bands = np.array([np.r_[0.0, off], np.zeros(size), np.r_[off, 0.0]])
-        sigma_max = _bordered_top(bands, w, (idx, vals), sigma_max)
         rows += 1
 
-    threshold = sigma_max * THRESHOLD_SCALE / scale_dim
+    threshold = _threshold(scale_dim)
     structural = abs(rows - cols)
     n_t = _count(threshold)
     n_band = _count(GAP_RATIO * threshold)
@@ -208,4 +184,4 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
             "eigenvalue count parity violated near the null threshold")
     below = (n_t - structural) // 2
     extra = unknowns - min(rows, cols)
-    return NullCount(below + extra, sigma_max, threshold, below, extra)
+    return NullCount(below + extra, threshold, below, extra)

@@ -283,7 +283,7 @@ def check_conditions(w: WeightPair, k_max: int, tol: float = 1e-3,
     cauchy_ok = decade < tol
     tail_bound = None
     if w.descriptor.get("kind") == "quantum_disk":
-        tail_bound = 1.0 / (w.descriptor["scale"] * w.descriptor["mu"] * k_max)
+        tail_bound = w.inv_a_tail(k_max)
 
     report.add(CheckResult(
         check="positivity",

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from qdisk import (APSProjection, RadialModeFunction, apply_D_classical,
                    apply_Dbar_classical, boundary_term_classical,
                    constant_classical_weight, index_classical,
                    inner_product_classical, integration_by_parts_classical,
                    radial_grid)
+from qdisk import nullity
 from qdisk.nullity import count_null_bidiagonal, count_null_dense
 
 M = 256
@@ -188,11 +190,12 @@ class TestNullCountRoutes:
         dense = count_null_dense(system, m_points)
         fast = _mode_nullity(a, constrained, m_points)
         assert dense.nullity == fast.nullity
-        # for a < 0 the route counts the transpose, so it equilibrates the
-        # system's columns: its sigma_max is that of the transposed oracle
-        scaled = count_null_dense(system.T, m_points) if a < 0 else dense
-        assert fast.sigma_max == pytest.approx(scaled.sigma_max, rel=1e-12)
-        assert fast.threshold == pytest.approx(scaled.threshold, rel=1e-12)
+        assert fast.threshold == dense.threshold
+        # the fixed threshold scale stands in for sigma_max of the
+        # row-equilibrated oracle
+        sigma_max = svdvals(system / np.linalg.norm(system, axis=1)[:, None])[0]
+        assert 1.0 <= sigma_max <= 2.0
+        assert abs(sigma_max / nullity.SIGMA_SCALE - 1.0) <= 1e-3
 
     def test_expected_counts(self):
         from qdisk.classical import _mode_nullity

@@ -197,13 +197,19 @@ class TestUsage:
         ["index-sweep", "--variant", "classical", "--scale", "0"],
         ["ibp-check", "--trials", "1", "--scale", "-1"],
         ["parametrix-check", "--trials", "1", "--mu", "1.5"],
+        ["index-sweep", "--variant", "classical", "--grid", "0"],
+        ["index-sweep", "--variant", "classical", "--grid", "1"],
+        ["index-sweep", "--variant", "classical", "--grid", "-5"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         flag = "--out" if argv[0] == "index-sweep" else "--json"
         assert run([*argv, flag, str(out)]) == 2
         assert not out.exists()
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        if "--grid" in argv:
+            assert "--grid" in err
 
     def test_shared_flags_keep_per_command_defaults(self):
         parser = build_parser()

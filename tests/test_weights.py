@@ -133,9 +133,11 @@ class TestCheckConditions:
             check_conditions(quantum_disk_weights(1.0, 2.0), 8)
 
     def test_quantum_tail_bound_recorded(self):
-        report = check_conditions(quantum_disk_weights(0.5, 2.0), 100)
+        w = quantum_disk_weights(0.5, 2.0)
+        report = check_conditions(w, 100)
         bound = report["inverse-weight-summable"].observed["tail_bound"]
-        assert bound == pytest.approx(1.0 / (2.0 * 0.5 * 100))
+        # the closed-form tail that the parametrix norm bound uses
+        assert bound == w.inv_a_tail(100) == 1.0 / (2.0 * (1.0 + 101 * 0.5))
 
 
 class TestLimitDiagnostics:
