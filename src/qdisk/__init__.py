@@ -16,7 +16,7 @@ from .element import (BoundaryFunction, ToeplitzElement, adjoint, element,
                       extend, from_mode, identity, multiply, power_UB,
                       random_element, restrict, to_matrix, u_power,
                       ustar_power, zero)
-from .hilbert import (abel_identity_check, boundary_pairing, inner_product,
+from .hilbert import (abel_identity_check, boundary_pairing,
                       inner_product_fourier, integration_by_parts_residual,
                       norm_fourier)
 from .ncops import (apply_D, apply_Dbar, boundary_operator_check,
@@ -41,7 +41,7 @@ __all__ = [
     "BoundaryFunction", "ToeplitzElement", "adjoint", "element", "extend",
     "from_mode", "identity", "multiply", "power_UB", "random_element",
     "restrict", "to_matrix", "u_power", "ustar_power", "zero",
-    "abel_identity_check", "boundary_pairing", "inner_product",
+    "abel_identity_check", "boundary_pairing",
     "inner_product_fourier", "integration_by_parts_residual", "norm_fourier",
     "apply_D", "apply_Dbar", "boundary_operator_check", "kernel_basis",
     "polar_split", "quantum_disk_structure_check",

@@ -16,7 +16,7 @@ row pinning the tail-window mean to zero, and counts numerical null
 directions by singular values under the threshold/gap rule, in O(k_max)
 per mode: the recursion is bidiagonal and the boundary row a border
 (``nullity.count_null_bidiagonal``; the tests check it against the SVD of
-``_mode_matrix``).  Kernel and cokernel never overlap and the increment in
+the dense system).  Kernel and cokernel never overlap and the increment in
 N is one mode at a time, so the sweep is a discrete spectral-flow picture.
 """
 
@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement
-from .ncops import _coefficients, _stencil, _table
+from .ncops import _rows
 from .nullity import NullCount, count_null_bidiagonal
 from .parametrix import _forced_boundary_values, apply_Q
 from .report import IllConditionedError
@@ -91,29 +91,16 @@ def _mode_bands(w: WeightPair, a: int, k_max: int, window: int,
     tail-window mean, entries 1/sqrt(window): the unit row that
     equilibration makes of it.
     """
-    st = _stencil(+1, a)
-    _, on_c, on_next = _coefficients(st, _table(w, k_max, [a]), k_max)
+    bands = _rows(w, k_max, +1, a, a)
+    on_c, on_next = bands.on_c[0], bands.on_next[0]
     tail = np.arange(k_max - window + 1, k_max + 1)
-    if st.s > 0:
+    if bands.up[0]:
         diag, upper, rows = on_c[:-1], -on_next[:-1], k_max
     else:
         diag, upper, rows = -on_c[::-1], on_next[:0:-1], k_max + 1
         tail = k_max - tail
     border = (tail, np.full(window, window ** -0.5)) if constrained else None
     return diag, upper, rows, k_max + 1, border
-
-
-def _mode_matrix(w: WeightPair, a: int, k_max: int, window: int,
-                 constrained: bool) -> np.ndarray:
-    """Dense matrix of ``_mode_bands``, the oracle for the structured count."""
-    diag, upper, rows, cols, border = _mode_bands(w, a, k_max, window,
-                                                  constrained)
-    mat = np.zeros((rows + constrained, cols))
-    mat[np.arange(len(diag)), np.arange(len(diag))] = diag
-    mat[np.arange(len(upper)), np.arange(1, len(upper) + 1)] = upper
-    if constrained:
-        mat[rows, border[0]] = border[1]
-    return mat
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Truncated shift-algebra elements in signed Fourier-mode form.
 
-An element is stored as a map from signed mode m to a complex coefficient
-sequence over k = 0..k_max:
+An element holds one complex coefficient sequence over k = 0..k_max per
+signed mode m:
 
 * mode m >= 0 holds g_m with the operator meaning U^m g_m(K)  (k indexes the
   matrix column: entry (k+m, k) = g_m(k));
@@ -13,18 +13,28 @@ diagonal, so the l2 matrix picture is a banded matrix whose bandwidth is the
 mode range; ``to_matrix`` realizes it and serves as the oracle for every
 algebraic identity in the package.
 
+Layout: the sequences are the rows of one complex array ``coeffs`` (modes x
+(k_max+1)) over the contiguous mode range mode_lo..mode_hi.  The row mask
+``present`` tells an absent mode (identically zero: zero row, tail 0) from a
+present one whose coefficients vanish.  Declared tails are one array
+``tail_values`` with its own row mask ``declared``; ``tail(m)`` is None for
+a present mode without one.  ``modes`` and ``tails`` are read-only mappings
+over those rows in ascending mode order.  No array is written after
+construction, and the operations act on whole arrays.
+
 Truncation bookkeeping: ``k_valid`` is the largest k whose stored
 coefficients are exact (shift products and difference operators corrupt the
-edge; operations shrink the bound and tests only read the interior).  A mode
-may declare an exact constant tail (value for all k >= tail_start), which is
-how boundary values are represented exactly; modes that are absent are
-identically zero, hence carry tail 0.
+edge; operations shrink the bound and tests only read the interior).  A
+declared tail is the exact value for all k >= tail_start, which is how
+boundary values are represented exactly.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,64 +60,64 @@ __all__ = [
 ]
 
 
-def _as_coeff(values, k_max: int) -> np.ndarray:
-    arr = np.zeros(k_max + 1, dtype=complex)
-    vals = np.asarray(values, dtype=complex)
-    if vals.ndim == 0:
-        arr[:] = vals
-    else:
-        if len(vals) > k_max + 1:
-            raise ValueError("coefficient sequence longer than k_max + 1")
-        arr[: len(vals)] = vals
-    return arr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToeplitzElement:
     k_max: int
-    modes: dict[int, np.ndarray] = field(default_factory=dict)
-    tails: dict[int, complex] = field(default_factory=dict)
+    mode_lo: int
+    coeffs: np.ndarray  # (modes, k_max + 1) complex
+    present: np.ndarray  # (modes,) bool
+    tail_values: np.ndarray | None = None  # (modes,) complex; None: no tails
+    declared: np.ndarray | None = None  # (modes,) bool
     tail_start: int = 0
     k_valid: int | None = None  # None: all of k <= k_max; -1: none valid
 
     def __post_init__(self):
+        if self.tail_values is None:
+            object.__setattr__(self, "tail_values", np.zeros(len(self.coeffs), complex))
+            object.__setattr__(self, "declared", np.zeros(len(self.coeffs), bool))
         if self.k_valid is None:
             object.__setattr__(self, "k_valid", self.k_max)
+        for arr in (self.coeffs, self.present, self.tail_values, self.declared):
+            arr.flags.writeable = False
+
+    @property
+    def mode_hi(self) -> int:
+        return self.mode_lo + len(self.coeffs) - 1
+
+    @property
+    def modes(self) -> Mapping[int, np.ndarray]:
+        """Present mode -> its coefficient row (read-only)."""
+        return MappingProxyType({self.mode_lo + i: self.coeffs[i]
+                                 for i in np.flatnonzero(self.present).tolist()})
+
+    @property
+    def tails(self) -> Mapping[int, complex]:
+        """Mode -> declared tail (read-only)."""
+        rows = np.flatnonzero(self.present & self.declared).tolist()
+        return MappingProxyType({self.mode_lo + i: complex(self.tail_values[i])
+                                 for i in rows})
 
     def coeff(self, m: int) -> np.ndarray:
         """Stored coefficient sequence of mode m (zeros if absent)."""
-        if m in self.modes:
-            return self.modes[m]
-        return np.zeros(self.k_max + 1, dtype=complex)
+        row = self.modes.get(m)
+        return np.zeros(self.k_max + 1, dtype=complex) if row is None else row
 
     def tail(self, m: int) -> complex | None:
         """Declared tail of mode m; 0 for absent modes, None if undeclared."""
         if m in self.tails:
             return self.tails[m]
-        if m not in self.modes:
-            return 0.0 + 0.0j
-        return None
+        return None if m in self.modes else 0.0 + 0.0j
 
-    def read(self, m: int, shift: int, clamp_below: bool = False) -> np.ndarray:
+    def read(self, m: int, shift: int) -> np.ndarray:
         """Coefficient sequence sampled at k + shift, k = 0..k_max.
 
-        Indices below 0 read as 0 — or as the k=0 value with
-        clamp_below=True (continuation by value, used by the polar split
-        where the k=0 row belongs entirely to the angular part).  Indices
-        above k_max read the declared tail when there is one, else 0 (the
-        caller's k_valid bookkeeping accounts for the approximation).
+        Indices below 0 read as 0.  Indices above k_max read the declared
+        tail when there is one, else 0 (the caller's k_valid bookkeeping
+        accounts for the approximation).
         """
-        c = self.coeff(m)
-        k = np.arange(self.k_max + 1) + shift
-        inside = (k >= 0) & (k <= self.k_max)
-        out = np.zeros(self.k_max + 1, dtype=complex)
-        out[inside] = c[k[inside]]
-        if clamp_below:
-            out[k < 0] = c[0]
-        tail = self.tail(m)
-        if tail is not None and shift > 0:
-            out[k > self.k_max] = tail
-        return out
+        c, tail, up = self.coeff(m), self.tail(m), max(shift, 0)
+        ext = np.full(up, 0j if tail is None else tail)
+        return np.concatenate([np.zeros(max(-shift, 0)), c, ext])[up: up + len(c)]
 
     @property
     def mode_min(self) -> int:
@@ -119,9 +129,7 @@ class ToeplitzElement:
 
     def support_max(self) -> float:
         """Largest |coefficient| stored at k = k_max (truncation-edge size)."""
-        if not self.modes:
-            return 0.0
-        return max(abs(c[-1]) for c in self.modes.values())
+        return float(np.max(np.abs(self.coeffs[self.present, -1]), initial=0.0))
 
     # -- linear structure ---------------------------------------------------
 
@@ -130,14 +138,19 @@ class ToeplitzElement:
             return NotImplemented
         if other.k_max != self.k_max:
             raise ValueError("elements must share k_max")
-        modes = {}
-        tails = {}
-        for m in sorted(set(self.modes) | set(other.modes)):
-            modes[m] = self.coeff(m) + other.coeff(m)
-            ta, tb = self.tail(m), other.tail(m)
-            if ta is not None and tb is not None:
-                tails[m] = ta + tb
-        return ToeplitzElement(self.k_max, modes, tails,
+        lo = min(self.mode_lo, other.mode_lo)
+        rows = max(self.mode_hi, other.mode_hi) - lo + 1
+        coeffs = np.zeros((rows, self.k_max + 1), dtype=complex)
+        present, known = np.zeros(rows, bool), np.ones(rows, bool)
+        tails = np.zeros(rows, complex)
+        for x in (self, other):  # absent rows add zero and a known tail 0
+            at = slice(x.mode_lo - lo, x.mode_hi - lo + 1)
+            coeffs[at] += x.coeffs
+            present[at] |= x.present
+            known[at] &= x.declared | ~x.present
+            tails[at] += x.tail_values
+        return ToeplitzElement(self.k_max, lo, coeffs, present,
+                               np.where(known, tails, 0), known & present,
                                max(self.tail_start, other.tail_start),
                                min(self.k_valid, other.k_valid))
 
@@ -148,9 +161,8 @@ class ToeplitzElement:
         if isinstance(scalar, ToeplitzElement):
             return NotImplemented
         s = complex(scalar)
-        return replace(self,
-                       modes={m: c * s for m, c in self.modes.items()},
-                       tails={m: t * s for m, t in self.tails.items()})
+        return replace(self, coeffs=self.coeffs * s,
+                       tail_values=self.tail_values * s)
 
     __rmul__ = __mul__
 
@@ -158,12 +170,10 @@ class ToeplitzElement:
 
     def to_json_dict(self) -> dict:
         entries = []
-        for m in sorted(self.modes):
-            c = self.modes[m]
-            entry = {"m": m, "coeff": [[z.real, z.imag] for z in c]}
+        for m, c in self.modes.items():
+            entry = {"m": m, "coeff": np.stack([c.real, c.imag], axis=1).tolist()}
             if m in self.tails:
-                t = complex(self.tails[m])
-                entry["tail"] = [t.real, t.imag]
+                entry["tail"] = [self.tails[m].real, self.tails[m].imag]
             entries.append(entry)
         return {"K_max": self.k_max, "tail_start": self.tail_start,
                 "k_valid": self.k_valid, "modes": entries}
@@ -171,18 +181,13 @@ class ToeplitzElement:
     @staticmethod
     def from_json_dict(data: dict) -> "ToeplitzElement":
         k_max = int(data["K_max"])
-        modes = {}
-        tails = {}
-        for entry in data["modes"]:
-            m = int(entry["m"])
-            modes[m] = np.array([complex(re, im) for re, im in entry["coeff"]],
-                                dtype=complex)
-            if entry.get("tail") is not None:
-                re, im = entry["tail"]
-                tails[m] = complex(re, im)
-        return ToeplitzElement(k_max, modes, tails,
-                               int(data.get("tail_start", 0)),
-                               int(data.get("k_valid", k_max)))
+        entries = data["modes"]
+        modes = {int(e["m"]): [complex(re, im) for re, im in e["coeff"]]
+                 for e in entries}
+        tails = {int(e["m"]): complex(*e["tail"]) for e in entries
+                 if e.get("tail") is not None}
+        return replace(element(k_max, modes, tails, int(data.get("tail_start", 0))),
+                       k_valid=int(data.get("k_valid", k_max)))
 
 
 @dataclass(frozen=True)
@@ -238,15 +243,31 @@ class BoundaryFunction:
 
 def element(k_max: int, modes: dict[int, object], tails: dict[int, complex] | None = None,
             tail_start: int = 0) -> ToeplitzElement:
-    """Normalizing constructor: pads/copies coefficient sequences to k_max+1."""
-    coeffs = {int(m): _as_coeff(c, k_max) for m, c in modes.items()}
-    return ToeplitzElement(k_max, coeffs,
-                           {int(m): complex(t) for m, t in (tails or {}).items()},
+    """Normalizing constructor: stacks the modes, each sequence (or scalar)
+    zero-padded to k_max+1; a declared tail needs a mode of its own."""
+    tails = {int(m): complex(t) for m, t in (tails or {}).items()}
+    keys = sorted(int(m) for m in modes)
+    if not set(tails) <= set(keys):
+        raise ValueError("declared tail of a mode without coefficients")
+    lo, hi = (keys[0], keys[-1]) if keys else (0, -1)
+    rows = hi - lo + 1
+    coeffs = np.zeros((rows, k_max + 1), dtype=complex)
+    present, declared = np.zeros(rows, bool), np.zeros(rows, bool)
+    tail_values = np.zeros(rows, complex)
+    for m, values in modes.items():
+        vals = np.asarray(values, dtype=complex)
+        if vals.ndim and len(vals) > k_max + 1:
+            raise ValueError("coefficient sequence longer than k_max + 1")
+        coeffs[int(m) - lo, : len(vals) if vals.ndim else None] = vals
+        present[int(m) - lo] = True
+    for m, t in tails.items():
+        tail_values[m - lo], declared[m - lo] = t, True
+    return ToeplitzElement(k_max, lo, coeffs, present, tail_values, declared,
                            tail_start)
 
 
 def zero(k_max: int) -> ToeplitzElement:
-    return ToeplitzElement(k_max, {})
+    return element(k_max, {})
 
 
 def identity(k_max: int) -> ToeplitzElement:
@@ -302,15 +323,9 @@ def adjoint(a: ToeplitzElement) -> ToeplitzElement:
     (U^n g(K))* = conj(g)(K) (U*)^n and (f(K)(U*)^n)* = U^n conj(f)(K), so the
     k-indexing of each sequence is preserved exactly.
     """
-    return ToeplitzElement(a.k_max,
-                           {-m: np.conj(c) for m, c in a.modes.items()},
-                           {-m: np.conj(t) for m, t in a.tails.items()},
-                           a.tail_start, a.k_valid)
-
-
-def _mode_spread(a: ToeplitzElement, b: ToeplitzElement) -> int:
-    return (max(a.mode_max, 0) + max(b.mode_max, 0)
-            + max(-a.mode_min, 0) + max(-b.mode_min, 0))
+    return ToeplitzElement(a.k_max, -a.mode_hi, np.conj(a.coeffs[::-1]),
+                           a.present[::-1], np.conj(a.tail_values[::-1]),
+                           a.declared[::-1], a.tail_start, a.k_valid)
 
 
 def multiply(a: ToeplitzElement, b: ToeplitzElement) -> ToeplitzElement:
@@ -325,45 +340,44 @@ def multiply(a: ToeplitzElement, b: ToeplitzElement) -> ToeplitzElement:
     if a.k_max != b.k_max:
         raise ValueError("elements must share k_max")
     k_max = a.k_max
-    ks = np.arange(k_max + 1)
-    modes: dict[int, np.ndarray] = {}
-    tails: dict[int, complex] = {}
-    tail_known: dict[int, bool] = {}
-
-    for m1, c1 in a.modes.items():
-        for m2, c2 in b.modes.items():
+    rows = len(a.coeffs) + len(b.coeffs) - 1 if a.modes and b.modes else 0
+    lo = a.mode_lo + b.mode_lo
+    coeffs = np.zeros((rows, k_max + 1), dtype=complex)
+    present, known = np.zeros(rows, bool), np.ones(rows, bool)
+    tails = np.zeros(rows, complex)
+    for m1 in a.modes:
+        for m2 in b.modes:
             m = m1 + m2
             if m >= 0:
                 # entry indexed by column c: intermediate basis index c + m2
-                mask = ks + m2 >= 0
+                cut = -m2
                 x = a.read(m1, m2) if m1 >= 0 else a.read(m1, m)
                 y = b.read(m2, 0) if m2 >= 0 else b.read(m2, m2)
             else:
                 # entry indexed by row r: intermediate basis index r - m1
-                mask = ks - m1 >= 0
+                cut = m1
                 x = a.read(m1, -m1) if m1 >= 0 else a.read(m1, 0)
                 y = b.read(m2, -m) if m2 >= 0 else b.read(m2, -m1)
-            term = np.where(mask, x * y, 0.0)
-            if m in modes:
-                modes[m] = modes[m] + term
-            else:
-                modes[m] = term
-
+            term = x * y
+            term[: max(cut, 0)] = 0.0
+            i = m - lo
+            coeffs[i] += term
+            present[i] = True
             ta, tb = a.tail(m1), b.tail(m2)
-            known = ta is not None and tb is not None
-            tail_known[m] = tail_known.get(m, True) and known
-            if known:
-                tails[m] = tails.get(m, 0.0) + ta * tb
+            known[i] &= ta is not None and tb is not None
+            tails[i] += ta * tb if known[i] else 0
 
-    tails = {m: t for m, t in tails.items() if tail_known.get(m, False)}
-    spread = _mode_spread(a, b)
+    spread = (max(a.mode_max, 0) + max(b.mode_max, 0)
+              + max(-a.mode_min, 0) + max(-b.mode_min, 0))
     k_valid = min(a.k_valid, b.k_valid) - spread
     if k_valid < 0:
         warnings.warn(
             f"product of elements with total mode spread {spread} has no "
             f"interior at k_max={k_max}", TruncationWarning, stacklevel=2)
     tail_start = min(k_max, max(a.tail_start, b.tail_start) + spread)
-    return ToeplitzElement(k_max, modes, tails, tail_start, max(k_valid, -1))
+    declared = known & present
+    return ToeplitzElement(k_max, lo, coeffs, present, np.where(declared, tails, 0),
+                           declared, tail_start, max(k_valid, -1))
 
 
 def power_UB(w: WeightPair, n: int, k_max: int) -> ToeplitzElement:
@@ -378,8 +392,7 @@ def power_UB(w: WeightPair, n: int, k_max: int) -> ToeplitzElement:
         return identity(k_max)
     lb = w.log_b_cumsum(k_max + n)
     ks = np.arange(k_max + 1)
-    coeff = np.exp(lb[ks + n] - lb[ks]).astype(complex)
-    return ToeplitzElement(k_max, {n: coeff}, {}, 0, k_max)
+    return element(k_max, {n: np.exp(lb[ks + n] - lb[ks])})
 
 
 def restrict(a: ToeplitzElement, tail_window: int = 16) -> BoundaryFunction:
@@ -393,39 +406,29 @@ def restrict(a: ToeplitzElement, tail_window: int = 16) -> BoundaryFunction:
     """
     if tail_window < 1:
         raise ValueError("tail_window must be >= 1")
-    values: dict[int, complex] = {}
-    variation: dict[int, float] = {}
     hi = max(a.k_valid, 0)
-    lo = max(hi - tail_window + 1, 0)
-    unbounded = []
-    for m, c in a.modes.items():
-        t = a.tail(m)
-        if t is not None and a.tail_start <= hi:
-            values[m] = complex(t)
-            variation[m] = 0.0
-        else:
-            window = c[lo: hi + 1]
-            mean = complex(np.mean(window))
-            values[m] = mean
-            if a.k_valid < 0:
-                unbounded.append(m)
-                variation[m] = np.inf
-            else:
-                variation[m] = float(np.max(np.abs(window - mean)))
-    if unbounded:
-        warnings.warn(
-            f"restrict: k_valid={a.k_valid}, no valid coefficient; modes "
-            f"{sorted(unbounded)} have no usable declared tail, so their "
-            f"boundary values are unbounded estimates", TruncationWarning,
-            stacklevel=2)
-    return BoundaryFunction(values, variation)
+    window = a.coeffs[:, max(hi - tail_window + 1, 0): hi + 1]
+    means = np.mean(window, axis=1)
+    exact = a.declared & (a.tail_start <= hi)
+    spread = np.max(np.abs(window - means[:, None]), axis=1)
+    if a.k_valid < 0:
+        spread[:] = np.inf
+        unbounded = (a.mode_lo + np.flatnonzero(a.present & ~exact)).tolist()
+        if unbounded:
+            warnings.warn(
+                f"restrict: k_valid={a.k_valid}, no valid coefficient; modes "
+                f"{unbounded} have no usable declared tail, so their "
+                f"boundary values are unbounded estimates", TruncationWarning,
+                stacklevel=2)
+    modes = list(a.modes)
+    values = np.where(exact, a.tail_values, means)[a.present].tolist()
+    variation = np.where(exact, 0.0, spread)[a.present].tolist()
+    return BoundaryFunction(dict(zip(modes, values)), dict(zip(modes, variation)))
 
 
 def extend(f: BoundaryFunction, k_max: int) -> ToeplitzElement:
     """Constant-coefficient extension; restrict(extend(f)) == f exactly."""
-    modes = {m: np.full(k_max + 1, complex(c)) for m, c in f.modes.items()}
-    tails = {m: complex(c) for m, c in f.modes.items()}
-    return ToeplitzElement(k_max, modes, tails, 0, k_max)
+    return element(k_max, f.modes, f.modes)
 
 
 def random_element(rng: np.random.Generator, k_max: int, mode_min: int = -6,
@@ -436,22 +439,22 @@ def random_element(rng: np.random.Generator, k_max: int, mode_min: int = -6,
 
     Coefficients are standard complex normals supported on k < k_support.
     With declared_tails=True every mode is constant (a random tail value)
-    from tail_start on, which makes boundary values exact.
+    from tail_start on, which makes boundary values exact.  One draw fills
+    the element, in the stream order of a mode-by-mode loop: per mode the
+    real parts, the imaginary parts, then the tail's real and imaginary part.
     """
     if k_support is None:
         k_support = k_max + 1
-    modes = {}
-    tails = {}
     if tail_start is None:
         tail_start = k_support // 2
-    for m in range(mode_min, mode_max + 1):
-        c = np.zeros(k_max + 1, dtype=complex)
-        body = min(k_support, k_max + 1)
-        c[:body] = rng.standard_normal(body) + 1j * rng.standard_normal(body)
-        if declared_tails:
-            t = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            c[tail_start:] = t
-            tails[m] = t
-        modes[m] = c
-    return ToeplitzElement(k_max, modes, tails,
+    rows = mode_max - mode_min + 1
+    body = min(k_support, k_max + 1)
+    draw = rng.standard_normal((rows, 2 * body + 2 * declared_tails))
+    coeffs = np.zeros((rows, k_max + 1), dtype=complex)
+    coeffs[:, :body] = draw[:, :body] + 1j * draw[:, body: 2 * body]
+    tails = draw[:, -2] + 1j * draw[:, -1] if declared_tails else np.zeros(rows, complex)
+    if declared_tails:
+        coeffs[:, tail_start:] = tails[:, None]
+    return ToeplitzElement(k_max, mode_min, coeffs, np.ones(rows, bool), tails,
+                           np.full(rows, declared_tails),
                            tail_start if declared_tails else 0, k_max)

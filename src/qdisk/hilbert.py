@@ -1,11 +1,10 @@
 """Weighted Hilbert space of shift-algebra elements.
 
 The pairing is (a, b) = Tr(A(K)^{-1} b a*): conjugate-linear in a, linear in
-b.  It has two computable routes that the tests play against each other:
-
-* the trace route, through dense matrices (``inner_product``), and
-* the Fourier route, mode-matched k-sums with weight 1/A(k) on modes < 0 and
-  1/A(k+m) on modes m >= 0 (``inner_product_fourier`` / ``norm_fourier``).
+b.  The library computes it by the Fourier route, mode-matched k-sums with
+weight 1/A(k) on modes < 0 and 1/A(k+m) on modes m >= 0
+(``inner_product_fourier`` / ``norm_fourier``); the tests play it against
+the trace route through dense matrices.
 
 The integration-by-parts identity
 
@@ -24,13 +23,12 @@ import warnings
 
 import numpy as np
 
-from .element import BoundaryFunction, ToeplitzElement, restrict, to_matrix
-from .ncops import _stencil, _table, apply_D, apply_Dbar
+from .element import BoundaryFunction, ToeplitzElement, restrict
+from .ncops import _rows, apply_D, apply_Dbar
 from .report import CheckResult, Report, TruncationWarning
 from .weights import WeightPair
 
 __all__ = [
-    "inner_product",
     "inner_product_fourier",
     "norm_fourier",
     "boundary_pairing",
@@ -39,52 +37,21 @@ __all__ = [
 ]
 
 
-def _warn_if_truncated(a: ToeplitzElement, tail_tol: float, label: str) -> None:
-    edge = a.support_max()
-    declared = max((abs(t) for t in a.tails.values()), default=0.0)
-    size = max(edge, declared)
-    if size > tail_tol:
-        warnings.warn(
-            f"{label} has coefficients of size {size:.3e} at the truncation "
-            f"edge; the trace is only approximate", TruncationWarning,
-            stacklevel=3)
-
-
-def inner_product(a: ToeplitzElement, b: ToeplitzElement, w: WeightPair,
-                  tail_tol: float = 1e-9) -> complex:
-    """Trace-form pairing Tr(A(K)^{-1} b a*) over the stored block.
-
-    Tr(A^{-1} b a*) = sum_{r,c} b[r,c] conj(a[r,c]) / A(r), so no matrix
-    product is needed.  Emits a TruncationWarning when either element has
-    non-negligible coefficients at the edge.
-    """
-    if a.k_max != b.k_max:
-        raise ValueError("elements must share k_max")
-    _warn_if_truncated(a, tail_tol, "first element")
-    _warn_if_truncated(b, tail_tol, "second element")
-    dim = a.k_max + 1
-    ma = to_matrix(a, dim)
-    mb = to_matrix(b, dim)
-    inv_a = 1.0 / w.a_at(np.arange(dim))
-    return complex(np.sum(mb * np.conj(ma) * inv_a[:, None]))
-
-
 def inner_product_fourier(a: ToeplitzElement, b: ToeplitzElement,
                           w: WeightPair) -> complex:
     """Fourier-form pairing: per-mode k-sums with the shifted 1/A weights."""
     if a.k_max != b.k_max:
         raise ValueError("elements must share k_max")
-    shared = set(a.modes) & set(b.modes)
-    if not shared:
+    shared = np.fromiter(set(a.modes) & set(b.modes), int)
+    if not len(shared):
         return 0j
-    size = a.k_max + 1
-    inv_a = 1.0 / w.a_at(np.arange(size + max(max(shared), 0)))
-    total = 0.0 + 0.0j
-    for m in shared:
-        shift = m if m >= 0 else 0
-        weight = inv_a[shift: shift + size]
-        total += np.sum(b.coeff(m) * np.conj(a.coeff(m)) * weight)
-    return complex(total)
+    lo, hi = int(shared.min()), int(shared.max())
+    weight = _rows(w, a.k_max, +1, lo, hi).inv_a
+    conj_a = np.conj(a.coeffs[lo - a.mode_lo: hi - a.mode_lo + 1])
+    per_mode = np.sum(b.coeffs[lo - b.mode_lo: hi - b.mode_lo + 1] * conj_a * weight,
+                      axis=1)
+    # added one mode at a time, in the shared set's iteration order
+    return complex(np.cumsum(per_mode[shared - lo])[-1])
 
 
 def norm_fourier(a: ToeplitzElement, w: WeightPair) -> float:
@@ -152,14 +119,15 @@ def abel_identity_check(f, g, n: int) -> Report:
     return report
 
 
-def _ibp_tail(tab: tuple, k_max: int, shift: int, m: int) -> float:
+def _ibp_tail(x: ToeplitzElement, w: WeightPair, shift: int,
+              pair) -> complex:
     """Exact k > k_max tail of the pairing of D (shift +1) or D̄ (shift -1)
-    applied to a constant-tail input mode m: the 1/A weight cancels the
-    stencil's A, leaving its angular coefficient σ(B(k+n+q) - B(k+q))
-    summed over k > k_max, which telescopes to σ Σ_{j<n}(1 - B(K+1+q+j))."""
-    st = _stencil(shift, m)
-    lo = k_max + 2 + st.q  # tab[1][k + 1] = B(k)
-    return st.sigma * np.sum(1.0 - tab[1][lo: lo + st.n])
+    of the constant-tail input x, each mode m weighted by ``pair(m)``: the
+    1/A weight cancels the stencil's A, leaving its angular coefficient
+    σ(B(k+n+q) - B(k+q)), whose sum over k > k_max telescopes to
+    σ Σ_{j<n}(1 - B(K+1+q+j)) (the memo's ``ibp`` entry)."""
+    tails = _rows(w, x.k_max, shift, x.mode_lo, x.mode_hi).ibp
+    return sum(pair(m) * tails[m - x.mode_lo] for m in x.modes)
 
 
 def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
@@ -185,11 +153,8 @@ def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
 
     # per-mode limits: declared tails where present, window means else
     ra, rb = restrict(a, tail_window), restrict(b, tail_window)
-    tab = _table(w, k_max, [*a.modes, *b.modes])
     da_b = inner_product_fourier(apply_D(a, w), b, w)
-    da_b += sum(np.conj(t) * rb.coeff(m + 1) * _ibp_tail(tab, k_max, +1, m)
-                for m, t in ra.modes.items())
+    da_b += _ibp_tail(a, w, +1, lambda m: np.conj(ra.coeff(m)) * rb.coeff(m + 1))
     a_dbarb = inner_product_fourier(a, apply_Dbar(b, w), w)
-    a_dbarb += sum(np.conj(ra.coeff(m - 1)) * t * _ibp_tail(tab, k_max, -1, m)
-                   for m, t in rb.modes.items())
+    a_dbarb += _ibp_tail(b, w, -1, lambda m: np.conj(ra.coeff(m - 1)) * rb.coeff(m))
     return abs(da_b - a_dbarb + boundary_pairing(ra, rb))

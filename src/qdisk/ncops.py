@@ -24,6 +24,16 @@ split writes the bracket as a radial part (the c-difference times the B of
 the later-indexed c) plus an angular part (the B-difference times the
 earlier one), mirroring (F/2ρ)(ρ∂ρ + i∂φ) on the flat disk.
 
+Weight rows: each weight factor of the stencil at one mode is a row over
+k = 0..k_max (σA(k+p), B(k+n+q), B(k+q); exp(-sH), σ/A(j+p), exp(sG) of the
+``parametrix`` closed forms; the shifted 1/A of the Fourier pairing and the
+``hilbert`` tail sums).  ``_rows`` keeps them in the WeightPair's ``memo``,
+per shift, for modes -r..r (r the largest |mode| asked for) of one k_max; a
+call at another k_max clears it.  A fill evaluates one ``WeightPair.table``
+with the arithmetic of the per-mode slices it replaces, so its rows are
+bitwise equal to them; a warm call evaluates no weight and no exp.  The
+operators act on the whole (modes x (k_max+1)) coefficient array at once.
+
 Sign convention at the boundary: with B increasing, the angular coefficients
 converge to +m for input mode m (the normalized B-differences are negative
 on the f side and positive on the g side), so
@@ -37,7 +47,8 @@ that 𝒟(z*) = 1 for the scale-1 quantum-disk weights.
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple
+from collections import namedtuple
+from typing import Literal
 
 import numpy as np
 
@@ -58,51 +69,76 @@ __all__ = [
 Which = Literal["D", "Dbar"]
 
 
-class _Stencil(NamedTuple):
-    s: int
-    p: int
-    sigma: int
-    n: int
-    q: int
+_Stencil = namedtuple("_Stencil", "s p sigma n q")
+# Weight rows at a range of input modes, k = 0..k_max (module notes):
+# amp = σA(k+p), on_c = B(k+n+q), on_next = B(k+q), exp_h = exp(-sH),
+# inv_amp = σ/A(k+p), exp_g = exp(sG), inv_a = 1/A(k + max(m, 0)); and one
+# entry per mode: ibp = σ Σ_{j<n}(1 - B(k_max+1+q+j)), up = (s > 0).
+_Rows = namedtuple("_Rows", "amp on_c on_next exp_h inv_amp exp_g inv_a ibp up")
 
 
-def _stencil(shift: int, m: int) -> _Stencil:
-    """Stencil table row of D (shift +1) or D̄ (shift -1) at input mode m."""
-    s = 1 if shift * m >= 0 else -1
+def _stencil(shift: int, m) -> _Stencil:
+    """Stencil table row of D (shift +1) or D̄ (shift -1) at input mode m;
+    for an array of modes, the rows broadcast over it."""
+    s = np.where(np.multiply(shift, m) >= 0, 1, -1)
     sigma = shift * s
-    return _Stencil(s, abs(m) + s if sigma > 0 else 0, sigma, abs(m), min(s, 0))
+    n = np.abs(m)
+    return _Stencil(s, np.where(sigma > 0, n + s, 0), sigma, n, np.minimum(s, 0))
 
 
-def _table(w: WeightPair, k_max: int, modes) -> tuple:
-    """``w.table`` wide enough for the stencil of every mode at k <= k_max."""
-    return w.table(k_max + max((abs(m) for m in modes), default=0) + 1)
+def _fill(w: WeightPair, k_max: int, shift: int, radius: int) -> _Rows:
+    a, b, lb = w.table(k_max + radius + 1)
+    ms = np.arange(-radius, radius + 1)
+    st = _stencil(shift, ms[:, None])
+    ks = np.arange(k_max + 1)
+    lo = st.q + 1 + ks  # b[k + 1] = B(k)
+    ibp = [row.sigma * np.sum(1.0 - b[k_max + 2 + row.q: k_max + 2 + row.q + row.n])
+           for row in (_stencil(shift, m) for m in ms.tolist())]
+    rows = _Rows(st.sigma * a[st.p + ks], b[lo + st.n], b[lo],
+                 np.exp(-st.s * (lb[st.n + st.s + ks] - lb[ks])),
+                 st.sigma / a[st.p + ks], np.exp(st.s * (lb[st.n + ks] - lb[ks])),
+                 1.0 / a[np.maximum(ms, 0)[:, None] + ks], np.array(ibp),
+                 st.s[:, 0] > 0)
+    for r in rows:  # shared by every later call
+        r.flags.writeable = False
+    return rows
 
 
-def _coefficients(st: _Stencil, tab: tuple, k_max: int):
-    """(σ A(k+p), B(k+n+q), B(k+q)) for k = 0..k_max, sliced from ``tab``."""
-    a, b, _ = tab
-    lo = st.q + 1  # b[k + 1] = B(k)
-    return (st.sigma * a[st.p: st.p + k_max + 1],
-            b[lo + st.n: lo + st.n + k_max + 1], b[lo: lo + k_max + 1])
+def _rows(w: WeightPair, k_max: int, shift: int, lo: int, hi: int) -> _Rows:
+    """Weight rows of D (shift +1) or D̄ (shift -1) at input modes lo..hi,
+    from the memo on ``w`` (module notes)."""
+    memo = w.memo
+    if memo.get("k_max") != k_max:
+        memo.clear()
+        memo["k_max"] = k_max
+    radius = max(-lo, hi, 0)
+    if memo.get(shift, (-1,))[0] < radius:
+        memo[shift] = (radius, _fill(w, k_max, shift, radius), {})
+    have, rows, views = memo[shift]
+    if (lo, hi) not in views:
+        views[lo, hi] = _Rows(*(r[have + lo: have + hi + 1] for r in rows))
+    return views[lo, hi]
 
 
-def _terms(a: ToeplitzElement, w: WeightPair, shift: int):
-    """Per input mode of a: output mode, s, the coefficients σA(k+p),
-    B(k+n+q), B(k+q), and c(k), c(k+s) (continued by value below k = 0)."""
-    tab = _table(w, a.k_max, a.modes)
-    for m, c in a.modes.items():
-        st = _stencil(shift, m)
-        yield (m + shift, st.s, *_coefficients(st, tab, a.k_max), c,
-               a.read(m, st.s, clamp_below=True))
+def _operand(a: ToeplitzElement, w: WeightPair, shift: int):
+    """Weight rows at the modes of a, their s = +1 mask as a column, c(k) and
+    c(k+s) (by value below k = 0, the declared tail or 0 above k_max)."""
+    rows, c = _rows(w, a.k_max, shift, a.mode_lo, a.mode_hi), a.coeffs
+    nxt = np.empty_like(c)
+    nxt[:, :-1], nxt[:, -1] = c[:, 1:], a.tail_values
+    down = ~rows.up
+    nxt[down, 1:], nxt[down, 0] = c[down, :-1], c[down, 0]
+    return rows, rows.up[:, None], c, nxt
 
 
 def _apply(a: ToeplitzElement, w: WeightPair, shift: int) -> ToeplitzElement:
-    modes = {out: amp * (on_c * c - on_next * nxt)
-             for out, _, amp, on_c, on_next, c, nxt in _terms(a, w, shift)}
+    rows, up, c, nxt = _operand(a, w, shift)
     # reading c(k+1) past k_max costs one valid k, unless the tail is declared
-    shrink = any(a.tail(m) is None for m in a.modes if _stencil(shift, m).s > 0)
-    return ToeplitzElement(a.k_max, modes, {}, a.tail_start,
-                           max(a.k_valid - shrink, -1))
+    shrink = bool(np.any(up[:, 0] & a.present & ~a.declared))
+    return ToeplitzElement(a.k_max, a.mode_lo + shift,
+                           rows.amp * (rows.on_c * c - rows.on_next * nxt),
+                           a.present, tail_start=a.tail_start,
+                           k_valid=max(a.k_valid - shrink, -1))
 
 
 def apply_D(a: ToeplitzElement, w: WeightPair) -> ToeplitzElement:
@@ -137,15 +173,14 @@ def polar_split(a: ToeplitzElement, w: WeightPair,
     shift = {"D": 1, "Dbar": -1}.get(which)
     if shift is None:
         raise ValueError(f"which must be 'D' or 'Dbar', got {which!r}")
-    radial: dict[int, np.ndarray] = {}
-    angular: dict[int, np.ndarray] = {}
-    for out, s, amp, on_c, on_next, c, nxt in _terms(a, w, shift):
-        later, earlier = (on_next, c) if s > 0 else (on_c, nxt)
-        radial[out] = amp * later * (c - nxt)
-        angular[out] = amp * (on_c - on_next) * earlier
+    rows, up, c, nxt = _operand(a, w, shift)
+    later = np.where(up, rows.on_next, rows.on_c)
+    earlier = np.where(up, c, nxt)
     k_valid = max(a.k_valid - 1, -1)
-    return (ToeplitzElement(a.k_max, radial, {}, a.tail_start, k_valid),
-            ToeplitzElement(a.k_max, angular, {}, a.tail_start, k_valid))
+    return tuple(ToeplitzElement(a.k_max, a.mode_lo + shift, part, a.present,
+                                 tail_start=a.tail_start, k_valid=k_valid)
+                 for part in (rows.amp * later * (c - nxt),
+                              rows.amp * (rows.on_c - rows.on_next) * earlier))
 
 
 def kernel_basis(w: WeightPair, which: Which, n_max: int,

@@ -20,12 +20,13 @@ and reported through a TruncationWarning.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement, power_UB
 from .hilbert import norm_fourier
-from .ncops import _stencil, _table, apply_D
+from .ncops import _rows, apply_D
 from .report import CheckResult, DecompositionError, Report, TruncationWarning
 from .weights import WeightPair
 
@@ -38,15 +39,12 @@ __all__ = [
 ]
 
 
-def _tail_warning(b: ToeplitzElement, w: WeightPair, modes, tail_tol: float) -> None:
-    """Bound the neglected j > k_max tail of the forward sums."""
-    worst = 0.0
-    for m in modes:
-        edge = abs(b.coeff(m)[-1])
-        t = b.tail(m)
-        if t is not None:
-            edge = max(edge, abs(t))
-        worst = max(worst, edge)
+def _tail_warning(b: ToeplitzElement, w: WeightPair, up: np.ndarray,
+                  tail_tol: float) -> None:
+    """Bound the neglected j > k_max tail of the forward sums (rows ``up``)."""
+    edge = np.abs(b.coeffs[:, -1])
+    edge = np.where(b.declared, np.maximum(edge, np.abs(b.tail_values)), edge)
+    worst = float(np.max(edge[up & b.present], initial=0.0))
     if worst > tail_tol:
         bound = worst * w.inv_a_tail(b.k_max)
         warnings.warn(
@@ -55,41 +53,33 @@ def _tail_warning(b: ToeplitzElement, w: WeightPair, modes, tail_tol: float) -> 
             TruncationWarning, stacklevel=4)
 
 
-def _summands(st, tab: tuple, c: np.ndarray) -> np.ndarray:
-    """exp(-s H(j)) c(j) / (σ A(j+p)) for j = 0..k_max."""
-    a, _, lb = tab
-    size = len(c)
-    h = lb[st.n + st.s: st.n + st.s + size] - lb[:size]
-    return np.exp(-st.s * h) * c * (st.sigma / a[st.p: st.p + size])
+def _summands(b: ToeplitzElement, w: WeightPair, shift: int):
+    """Weight rows at the modes m - shift of x, and exp(-s H(j)) b(j) /
+    (σ A(j+p)) for j = 0..k_max."""
+    rows = _rows(w, b.k_max, shift, b.mode_lo - shift, b.mode_hi - shift)
+    return rows, rows.exp_h * b.coeffs * rows.inv_amp
 
 
 def _solve(b: ToeplitzElement, w: WeightPair, shift: int,
            tail_tol: float) -> ToeplitzElement:
     """Closed-form x with D x = b (shift +1) or D̄ x = b (shift -1)."""
-    tab = _table(w, b.k_max, [m - shift for m in b.modes])
-    lb = tab[2]
-    modes: dict[int, np.ndarray] = {}
-    for m, c in b.modes.items():
-        st = _stencil(shift, m - shift)
-        terms = _summands(st, tab, c)
-        total = np.cumsum(terms) if st.s < 0 else np.cumsum(terms[::-1])[::-1]
-        g = lb[st.n: st.n + len(c)] - lb[:len(c)]
-        modes[m - shift] = np.exp(st.s * g) * total
-    _tail_warning(b, w, [m for m in b.modes if _stencil(shift, m - shift).s > 0],
-                  tail_tol)
-    return ToeplitzElement(b.k_max, modes, {}, b.tail_start, b.k_valid)
+    rows, terms = _summands(b, w, shift)
+    up = rows.up  # j >= k sums
+    total = np.empty_like(terms)
+    total[~up] = np.cumsum(terms[~up], axis=1)
+    total[up] = np.cumsum(terms[up, ::-1], axis=1)[:, ::-1]
+    _tail_warning(b, w, up, tail_tol)
+    return ToeplitzElement(b.k_max, b.mode_lo - shift, rows.exp_g * total,
+                           b.present, tail_start=b.tail_start, k_valid=b.k_valid)
 
 
 def _forced_boundary_values(b: ToeplitzElement, w: WeightPair) -> dict[int, complex]:
     """Boundary values of the forced (s = -1) modes of Q b, by output mode:
     the limit of the closed form is its full j-sum, since exp(-G(k)) -> 1."""
-    tab = _table(w, b.k_max, [m - 1 for m in b.modes])
-    values = {}
-    for m, c in b.modes.items():
-        st = _stencil(+1, m - 1)
-        if st.s < 0:
-            values[m - 1] = complex(np.sum(_summands(st, tab, c)))
-    return values
+    rows, terms = _summands(b, w, +1)
+    forced = ~rows.up & b.present
+    modes = (b.mode_lo - 1 + np.flatnonzero(forced)).tolist()
+    return dict(zip(modes, np.sum(terms[forced], axis=1).tolist()))
 
 
 def apply_Q(b: ToeplitzElement, w: WeightPair, tail_tol: float = 1e-9) -> ToeplitzElement:
@@ -117,7 +107,8 @@ def _norm_bound(norm_qb: float, norm_b: float, w: WeightPair,
     The reciprocal sum is the k <= k_max partial sum plus the closed-form
     tail bound, so C dominates the untruncated constant.
     """
-    constant = (w.inv_a_partial_sum(k_max) + w.inv_a_tail(k_max)) / float(w.b_at(0))
+    rows = _rows(w, k_max, +1, 0, 0)  # 1/A(k) and B(k) at mode 0
+    constant = (float(np.sum(rows.inv_a[0])) + w.inv_a_tail(k_max)) / rows.on_next[0, 0]
     return constant, norm_qb <= constant * norm_b * (1.0 + 1e-12) + 1e-300
 
 
@@ -155,12 +146,9 @@ def _truncate_to_valid(b: ToeplitzElement) -> ToeplitzElement:
     difference operators are garbage and would poison the forward sums)."""
     if b.k_valid >= b.k_max:
         return b
-    modes = {}
-    for m, c in b.modes.items():
-        masked = c.copy()
-        masked[b.k_valid + 1:] = 0.0
-        modes[m] = masked
-    return ToeplitzElement(b.k_max, modes, {}, b.tail_start, b.k_valid)
+    coeffs = b.coeffs.copy()
+    coeffs[:, b.k_valid + 1:] = 0.0
+    return replace(b, coeffs=coeffs, tail_values=None, declared=None)
 
 
 def boundary_value_decomposition(a: ToeplitzElement, w: WeightPair,
@@ -199,11 +187,8 @@ def boundary_value_decomposition(a: ToeplitzElement, w: WeightPair,
         recon = scaled if recon is None else recon + scaled
 
     resid_el = d - recon if recon is not None else d
-    scale = 1.0 + max((float(np.max(np.abs(c))) for c in a.modes.values()),
-                      default=0.0)
-    residual = 0.0
-    for m, c in resid_el.modes.items():
-        residual = max(residual, float(np.max(np.abs(c[: hi + 1]))))
+    scale = 1.0 + float(np.max(np.abs(a.coeffs), initial=0.0))
+    residual = float(np.max(np.abs(resid_el.coeffs[:, : hi + 1]), initial=0.0))
     if residual > tol * scale:
         raise DecompositionError(
             f"kernel split leaves interior residual {residual:.3e} "

@@ -53,13 +53,15 @@ class WeightPair:
 
     ``a_fn``/``b_fn`` must accept numpy integer arrays (k >= 0) and return
     float arrays.  ``k_table_max`` is the last evaluable k for table-backed
-    pairs (None means unbounded).
+    pairs (None means unbounded).  ``memo`` holds the stencil weight rows of
+    one truncation, filled by ``ncops._rows`` (see the ``ncops`` notes).
     """
 
     a_fn: Callable[[np.ndarray], np.ndarray]
     b_fn: Callable[[np.ndarray], np.ndarray]
     descriptor: dict = field(default_factory=lambda: {"kind": "custom"})
     k_table_max: int | None = None
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check_range(self, k: np.ndarray) -> None:
         if self.k_table_max is not None and np.any(k > self.k_table_max):

@@ -12,10 +12,11 @@ import pytest
 from qdisk import (APSProjection, BoundaryFunction, adjoint, apply_D,
                    apply_Dbar, apply_Q, apply_Qbar, boundary_operator_check,
                    constant_classical_weight, index_classical, index_numeric,
-                   inner_product, integration_by_parts_classical,
+                   integration_by_parts_classical,
                    integration_by_parts_residual, norm_fourier, power_UB,
                    quantum_disk_structure_check, quantum_disk_weights,
                    radial_grid, random_element, to_matrix)
+from oracles import inner_product
 
 MUS = (0.3, 0.7, 1.0)
 K_SWEEP = 512

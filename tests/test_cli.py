@@ -200,6 +200,7 @@ class TestUsage:
         ["index-sweep", "--variant", "classical", "--grid", "0"],
         ["index-sweep", "--variant", "classical", "--grid", "1"],
         ["index-sweep", "--variant", "classical", "--grid", "-5"],
+        ["verify-weights", "--kmax", "8"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -225,3 +226,25 @@ class TestUsage:
         for command, defaults in expected.items():
             args = vars(parser.parse_args([command]))
             assert {k: args[k] for k in defaults} == defaults, command
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("argv, target", [
+        (["parametrix-check", "--trials", "2", "--kmax", "64"], "apply_Q"),
+        (["ibp-check", "--trials", "2", "--kmax", "64"], "integration_by_parts_residual"),
+        (["index-sweep", "--nmin", "0", "--nmax", "0"], "index_numeric"),
+    ])
+    def test_library_value_error_is_not_a_usage_error(self, argv, target,
+                                                     monkeypatch, capsys):
+        """A ValueError raised inside the library, past the argument checks,
+        is an internal fault: exit 1 with an internal-error message."""
+        def broken(*args, **kwargs):
+            raise ValueError("inconsistent band lengths")
+
+        monkeypatch.setattr(cli, target, broken)
+        code = run(argv)
+        assert code != 2
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "internal error: inconsistent band lengths" in err
+        assert "usage error" not in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,20 @@ class TestSerialization:
         del data["k_valid"]
         assert ToeplitzElement.from_json_dict(data).k_valid == 10
 
+    def test_absent_zero_and_declared_modes_round_trip(self):
+        """Absent modes (tail 0), present all-zero modes with and without a
+        declared tail, and declared nonzero tails keep their tail()."""
+        a = element(K, {-3: [1.0, 2.0j], 0: 0.0, 1: 3.0, 4: [0.0]},
+                    tails={1: 3.0, 4: 0.0}, tail_start=5)
+        b = ToeplitzElement.from_json_dict(json.loads(json.dumps(a.to_json_dict())))
+        assert list(b.modes) == [-3, 0, 1, 4]
+        assert (b.k_max, b.tail_start, b.k_valid) == (a.k_max, a.tail_start, a.k_valid)
+        for m in range(-5, 7):
+            assert b.tail(m) == a.tail(m), m
+            np.testing.assert_array_equal(b.coeff(m), a.coeff(m))
+        assert [a.tail(m) for m in (-4, -3, 0, 1, 2, 4)] == [0, None, None, 3, 0, 0]
+        assert 2 not in b.modes and 4 in b.modes and 4 in b.tails
+
     def test_boundary_round_trip(self):
         f = BoundaryFunction({-2: 1.0 + 2.0j, 0: 0.5 + 0.0j, 4: -1.0j})
         assert BoundaryFunction.from_json_dict(f.to_json_dict()).modes == f.modes
@@ -260,3 +276,57 @@ class TestLinearStructure:
         z = zero(16)
         assert not z.modes
         assert z.support_max() == 0.0
+
+
+def _mode_by_mode_draws(rng, k_max, mode_min, mode_max, k_support=None,
+                        declared_tails=False, tail_start=None):
+    """random_element's draws written as a loop over modes: per mode the real
+    parts, the imaginary parts, then the tail's real and imaginary part."""
+    k_support = k_max + 1 if k_support is None else k_support
+    tail_start = k_support // 2 if tail_start is None else tail_start
+    modes, tails = {}, {}
+    for m in range(mode_min, mode_max + 1):
+        c = np.zeros(k_max + 1, dtype=complex)
+        body = min(k_support, k_max + 1)
+        c[:body] = rng.standard_normal(body) + 1j * rng.standard_normal(body)
+        if declared_tails:
+            t = complex(rng.standard_normal() + 1j * rng.standard_normal())
+            c[tail_start:] = t
+            tails[m] = t
+        modes[m] = c
+    return modes, tails
+
+
+class TestStackedLayout:
+    @pytest.mark.parametrize("declared_tails", [False, True])
+    @pytest.mark.parametrize("k_support, tail_start",
+                             [(None, None), (20, None), (20, 7), (200, 30)])
+    def test_random_element_is_the_mode_by_mode_draw(self, declared_tails,
+                                                     k_support, tail_start):
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = random_element(got_rng, K, -3, 4, k_support=k_support,
+                             declared_tails=declared_tails, tail_start=tail_start)
+        modes, tails = _mode_by_mode_draws(want_rng, K, -3, 4, k_support,
+                                           declared_tails, tail_start)
+        assert list(got.modes) == list(modes)
+        for m, c in modes.items():
+            assert got.coeff(m).tobytes() == c.tobytes()
+            assert got.tail(m) == tails.get(m)
+        # the stream is left where the loop leaves it
+        assert got_rng.standard_normal() == want_rng.standard_normal()
+
+    def test_modes_is_a_read_only_view(self, rng):
+        a = random_element(rng, 8, -1, 1)
+        with pytest.raises(TypeError):
+            a.modes[5] = np.zeros(9)
+        with pytest.raises(ValueError):
+            a.modes[0][0] = 1.0
+        assert a.mode_lo == -1 and a.coeffs.shape == (3, 9)
+
+    def test_absent_rows_inside_the_range(self):
+        a = element(K, {-2: 1.0, 2: 1.0}, tails={2: 1.0})
+        assert a.coeffs.shape == (5, K + 1) and list(a.modes) == [-2, 2]
+        assert a.tail(0) == 0 and a.tail(-2) is None and a.tail(2) == 1.0
+        assert not np.any(a.coeff(0))
+        with pytest.raises(ValueError, match="declared tail"):
+            element(K, {0: 1.0}, tails={1: 1.0})

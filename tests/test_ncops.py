@@ -3,11 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdisk import (BoundaryFunction, adjoint, apply_D, apply_Dbar,
-                   boundary_operator_check, extend, from_mode, identity,
-                   kernel_basis, polar_split, power_UB,
-                   quantum_disk_structure_check, quantum_disk_weights,
-                   random_element, to_matrix)
+from qdisk import (BoundaryFunction, adjoint, apply_D, apply_Dbar, apply_Q,
+                   apply_Qbar, boundary_operator_check, extend, from_mode,
+                   identity, inner_product_fourier,
+                   integration_by_parts_residual, kernel_basis, polar_split,
+                   power_UB, quantum_disk_structure_check,
+                   quantum_disk_weights, random_element, to_matrix)
+from qdisk.parametrix import _norm_bound
+from qdisk.weights import WeightPair
+
+import oracles
 
 K = 128
 
@@ -253,3 +258,97 @@ class TestStructure:
     def test_rejects_out_of_range_mu(self):
         with pytest.raises(ValueError):
             quantum_disk_structure_check(1.5, 64)
+
+
+def _memo_arrays(w):
+    """Every array the weight memo holds: the rows of each shift and the
+    row views handed out for mode ranges."""
+    for key, entry in w.memo.items():
+        if key == "k_max":
+            continue
+        _, rows, views = entry
+        yield from rows
+        for view in views.values():
+            yield from view
+
+
+class TestWeightMemo:
+    @staticmethod
+    def _results(w, a, b):
+        """Every memo reader on a and b: D, D̄, both polar splits, Q, Q̄,
+        the Fourier pairing, the norm bound and the adjoint identity."""
+        out = [apply_D(a, w), apply_Dbar(a, w), *polar_split(a, w, "D"),
+               *polar_split(a, w, "Dbar"), apply_Q(b, w), apply_Qbar(b, w)]
+        scalars = [inner_product_fourier(a, b, w),
+                   _norm_bound(1.0, 1.0, w, a.k_max)[0],
+                   integration_by_parts_residual(a, a, w)]
+        return [x.coeffs for x in out] + scalars
+
+    def test_cold_and_warm_memo_agree_bitwise(self, rng):
+        a = random_element(rng, 256, -4, 4, declared_tails=True, tail_start=100)
+        b = random_element(rng, 256, -6, 6, k_support=128)
+        cold = self._results(quantum_disk_weights(0.7), a, b)
+        w = quantum_disk_weights(0.7)
+        apply_D(random_element(rng, 256, -1, 1), w)  # a narrower memo that must grow
+        grown = self._results(w, a, b)
+        warm = self._results(w, a, b)
+        assert w.memo["k_max"] == 256
+        for x, y, z in zip(cold, grown, warm):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes() == np.asarray(z).tobytes()
+
+    def test_memo_holds_one_truncation(self, rng):
+        w = quantum_disk_weights(1.0)
+        b = random_element(rng, 512, -3, 3, k_support=256)
+        apply_Q(b, w)
+        apply_Qbar(b, w)
+        assert {len(x[-1]) for x in _memo_arrays(w) if x.ndim == 2} == {513}
+        apply_D(random_element(rng, 4096, -2, 2), w)
+        assert w.memo["k_max"] == 4096
+        arrays = [x for x in _memo_arrays(w) if x.ndim == 2]
+        assert arrays and all(x.shape[1] == 4097 for x in arrays)
+        assert set(w.memo) == {"k_max", +1}
+
+    def test_warm_calls_evaluate_no_weights(self, rng, monkeypatch):
+        w = quantum_disk_weights(1.0)
+        a = random_element(rng, 128, -4, 4, declared_tails=True, tail_start=64)
+        b = random_element(rng, 128, -6, 6, k_support=64)
+        self._results(w, a, b)
+        calls = []
+        for name in ("a_at", "b_at", "log_b_cumsum"):
+            original = getattr(WeightPair, name)
+            monkeypatch.setattr(WeightPair, name,
+                                lambda self, *args, _f=original, _name=name:
+                                calls.append(_name) or _f(self, *args))
+        self._results(w, a, b)
+        assert calls == []
+        self._results(quantum_disk_weights(1.0), a, b)
+        assert calls  # the guard sees the fill of a cold memo
+
+
+class TestModeByModeReference:
+    @pytest.mark.filterwarnings("ignore::qdisk.TruncationWarning")
+    @pytest.mark.parametrize("mu, k_max", [(0.3, 64), (1.0, 512)])
+    def test_whole_array_kernels_equal_the_per_mode_loops(self, rng, mu, k_max):
+        w = quantum_disk_weights(mu)
+        elements = [random_element(rng, k_max, -6, 6),
+                    random_element(rng, k_max, -5, 3, k_support=k_max // 2),
+                    random_element(rng, k_max, -4, 4, declared_tails=True,
+                                   tail_start=k_max // 3)]
+
+        def same(got, want):
+            assert list(got.modes) == sorted(want)
+            for m, row in want.items():
+                assert got.coeff(m).tobytes() == row.tobytes(), m
+
+        for x in elements:
+            for shift, which in ((+1, "D"), (-1, "Dbar")):
+                same((apply_D if shift > 0 else apply_Dbar)(x, w),
+                     oracles.mode_by_mode_apply(x, w, shift))
+                for got, want in zip(polar_split(x, w, which),
+                                     oracles.mode_by_mode_polar(x, w, shift)):
+                    same(got, want)
+                same((apply_Q if shift > 0 else apply_Qbar)(x, w),
+                     oracles.mode_by_mode_solve(x, w, shift))
+            for y in elements:
+                assert (inner_product_fourier(x, y, w)
+                        == oracles.mode_by_mode_pairing(x, y, w))

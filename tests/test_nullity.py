@@ -14,12 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal, lapack, svdvals
 
-from qdisk import (APSProjection, IllConditionedError, ToeplitzElement,
+from qdisk import (APSProjection, IllConditionedError, element,
                    apply_D, apply_Dbar, index_numeric, quantum_disk_weights)
 from qdisk import nullity
-from qdisk.aps import _mode_bands, _mode_matrix
+from qdisk.aps import _mode_bands
 from qdisk.cli import main
 from qdisk.nullity import count_null_bidiagonal, count_null_dense
+from oracles import mode_matrix
 
 
 def _top_sigma(matrix):
@@ -50,7 +51,7 @@ def test_structured_count_matches_dense_on_the_sweep(k_max, mu):
                                                       constrained)
         got = count_null_bidiagonal(diag, upper, rows, cols, k_max,
                                     border=border)
-        matrix = _mode_matrix(w, a, k_max, window, constrained)
+        matrix = mode_matrix(w, a, k_max, window, constrained)
         want = count_null_dense(matrix, k_max)
         job = (a, constrained)
         assert (got.nullity, got.n_below, got.structural) == (
@@ -77,10 +78,10 @@ def test_mode_system_rows_are_the_operator_stencil(w2, side, m):
     out_mode = m + 1 if side == "ker" else m - 1
     sign = 1.0 if side == "ker" else -1.0
     stencil = np.stack([
-        op(ToeplitzElement(k_max, {m: np.eye(k_max + 1)[j].astype(complex)}),
+        op(element(k_max, {m: np.eye(k_max + 1)[j]}),
            w2).coeff(out_mode).real
         for j in range(k_max + 1)], axis=1)
-    mat = _mode_matrix(w2, m if side == "ker" else -m, k_max, 8, False)
+    mat = mode_matrix(w2, m if side == "ker" else -m, k_max, 8, False)
     if len(mat) == k_max + 1:  # square systems are stored reversed
         mat = mat[::-1, ::-1]
     stencil = stencil[: len(mat)]
