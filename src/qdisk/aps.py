@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement
-from .ncops import _rows
+from .ncops import _stencil, _table
 from .nullity import NullCount, count_null_bidiagonal
 from .parametrix import _forced_boundary_values, apply_Q
 from .report import IllConditionedError
@@ -91,10 +91,11 @@ def _mode_bands(w: WeightPair, a: int, k_max: int, window: int,
     tail-window mean, entries 1/sqrt(window): the unit row that
     equilibration makes of it.
     """
-    bands = _rows(w, k_max, +1, a, a)
-    on_c, on_next = bands.on_c[0], bands.on_next[0]
+    st = _stencil(+1, a)
+    _, b, _ = _table(w, k_max, k_max + abs(a) + 1)  # b[k + 1] = B(k)
+    on_c, on_next = b[st.q + 1 + st.n:][:k_max + 1], b[st.q + 1:][:k_max + 1]
     tail = np.arange(k_max - window + 1, k_max + 1)
-    if bands.up[0]:
+    if st.s > 0:
         diag, upper, rows = on_c[:-1], -on_next[:-1], k_max
     else:
         diag, upper, rows = -on_c[::-1], on_next[:0:-1], k_max + 1

@@ -97,16 +97,21 @@ class ToeplitzElement:
         return MappingProxyType({self.mode_lo + i: complex(self.tail_values[i])
                                  for i in rows})
 
+    def _row(self, m: int) -> int | None:
+        i = m - self.mode_lo
+        return i if 0 <= i < len(self.coeffs) and self.present[i] else None
+
     def coeff(self, m: int) -> np.ndarray:
         """Stored coefficient sequence of mode m (zeros if absent)."""
-        row = self.modes.get(m)
-        return np.zeros(self.k_max + 1, dtype=complex) if row is None else row
+        i = self._row(m)
+        return np.zeros(self.k_max + 1, dtype=complex) if i is None else self.coeffs[i]
 
     def tail(self, m: int) -> complex | None:
         """Declared tail of mode m; 0 for absent modes, None if undeclared."""
-        if m in self.tails:
-            return self.tails[m]
-        return None if m in self.modes else 0.0 + 0.0j
+        i = self._row(m)
+        if i is None:
+            return 0.0 + 0.0j
+        return complex(self.tail_values[i]) if self.declared[i] else None
 
     def read(self, m: int, shift: int) -> np.ndarray:
         """Coefficient sequence sampled at k + shift, k = 0..k_max.
@@ -340,13 +345,14 @@ def multiply(a: ToeplitzElement, b: ToeplitzElement) -> ToeplitzElement:
     if a.k_max != b.k_max:
         raise ValueError("elements must share k_max")
     k_max = a.k_max
-    rows = len(a.coeffs) + len(b.coeffs) - 1 if a.modes and b.modes else 0
+    modes_a, modes_b = list(a.modes), list(b.modes)
+    rows = len(a.coeffs) + len(b.coeffs) - 1 if modes_a and modes_b else 0
     lo = a.mode_lo + b.mode_lo
     coeffs = np.zeros((rows, k_max + 1), dtype=complex)
     present, known = np.zeros(rows, bool), np.ones(rows, bool)
     tails = np.zeros(rows, complex)
-    for m1 in a.modes:
-        for m2 in b.modes:
+    for m1 in modes_a:
+        for m2 in modes_b:
             m = m1 + m2
             if m >= 0:
                 # entry indexed by column c: intermediate basis index c + m2

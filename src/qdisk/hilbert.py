@@ -46,10 +46,10 @@ def inner_product_fourier(a: ToeplitzElement, b: ToeplitzElement,
     if not len(shared):
         return 0j
     lo, hi = int(shared.min()), int(shared.max())
-    weight = _rows(w, a.k_max, +1, lo, hi).inv_a
-    conj_a = np.conj(a.coeffs[lo - a.mode_lo: hi - a.mode_lo + 1])
-    per_mode = np.sum(b.coeffs[lo - b.mode_lo: hi - b.mode_lo + 1] * conj_a * weight,
-                      axis=1)
+    weight, = _rows(w, a.k_max, +1, lo, hi, ("inv_a",))
+    prod = np.conj(a.coeffs[lo - a.mode_lo: hi - a.mode_lo + 1])
+    np.multiply(b.coeffs[lo - b.mode_lo: hi - b.mode_lo + 1], prod, out=prod)
+    per_mode = np.sum(np.multiply(prod, weight, out=prod), axis=1)
     # added one mode at a time, in the shared set's iteration order
     return complex(np.cumsum(per_mode[shared - lo])[-1])
 
@@ -126,7 +126,7 @@ def _ibp_tail(x: ToeplitzElement, w: WeightPair, shift: int,
     1/A weight cancels the stencil's A, leaving its angular coefficient
     σ(B(k+n+q) - B(k+q)), whose sum over k > k_max telescopes to
     σ Σ_{j<n}(1 - B(K+1+q+j)) (the memo's ``ibp`` entry)."""
-    tails = _rows(w, x.k_max, shift, x.mode_lo, x.mode_hi).ibp
+    tails, = _rows(w, x.k_max, shift, x.mode_lo, x.mode_hi, ("ibp",))
     return sum(pair(m) * tails[m - x.mode_lo] for m in x.modes)
 
 

@@ -25,14 +25,19 @@ the later-indexed c) plus an angular part (the B-difference times the
 earlier one), mirroring (F/2ρ)(ρ∂ρ + i∂φ) on the flat disk.
 
 Weight rows: each weight factor of the stencil at one mode is a row over
-k = 0..k_max (σA(k+p), B(k+n+q), B(k+q); exp(-sH), σ/A(j+p), exp(sG) of the
-``parametrix`` closed forms; the shifted 1/A of the Fourier pairing and the
-``hilbert`` tail sums).  ``_rows`` keeps them in the WeightPair's ``memo``,
-per shift, for modes -r..r (r the largest |mode| asked for) of one k_max; a
-call at another k_max clears it.  A fill evaluates one ``WeightPair.table``
-with the arithmetic of the per-mode slices it replaces, so its rows are
-bitwise equal to them; a warm call evaluates no weight and no exp.  The
-operators act on the whole (modes x (k_max+1)) coefficient array at once.
+k = 0..k_max, by kind: amp = σA(k+p), on_c = B(k+n+q), on_next = B(k+q);
+exp_h = exp(-sH), inv_amp = σ/A(j+p), exp_g = exp(sG) of the ``parametrix``
+closed forms; inv_a = 1/A(k + max(m, 0)) of the Fourier pairing; and one
+entry per mode, ibp = σ Σ_{j<n}(1 - B(k_max+1+q+j)) (the ``hilbert`` tail
+sums) and up = (s > 0).  The WeightPair's ``memo`` holds them for one k_max
+(a call at another clears it): one ``WeightPair.table``, reaching as far as
+a fill has needed (k_max + r + 1 for the stencil kinds, r the largest
+|mode|; k_max + max(m, 0) for inv_a), and per kind and shift the rows over
+the modes asked for so far.  ``_rows`` fills a kind on first use and again,
+over the union, for a wider mode range; each row is computed with the
+arithmetic of the per-mode slice it replaces, so it is bitwise equal to it,
+and a warm call evaluates no weight and no exp.  The operators act on the
+whole (modes x (k_max+1)) coefficient array at once.
 
 Sign convention at the boundary: with B increasing, the angular coefficients
 converge to +m for input mode m (the normalized B-differences are negative
@@ -70,11 +75,6 @@ Which = Literal["D", "Dbar"]
 
 
 _Stencil = namedtuple("_Stencil", "s p sigma n q")
-# Weight rows at a range of input modes, k = 0..k_max (module notes):
-# amp = σA(k+p), on_c = B(k+n+q), on_next = B(k+q), exp_h = exp(-sH),
-# inv_amp = σ/A(k+p), exp_g = exp(sG), inv_a = 1/A(k + max(m, 0)); and one
-# entry per mode: ibp = σ Σ_{j<n}(1 - B(k_max+1+q+j)), up = (s > 0).
-_Rows = namedtuple("_Rows", "amp on_c on_next exp_h inv_amp exp_g inv_a ibp up")
 
 
 def _stencil(shift: int, m) -> _Stencil:
@@ -86,57 +86,79 @@ def _stencil(shift: int, m) -> _Stencil:
     return _Stencil(s, np.where(sigma > 0, n + s, 0), sigma, n, np.minimum(s, 0))
 
 
-def _fill(w: WeightPair, k_max: int, shift: int, radius: int) -> _Rows:
-    a, b, lb = w.table(k_max + radius + 1)
-    ms = np.arange(-radius, radius + 1)
+def _memo(w: WeightPair, k_max: int) -> dict:
+    """The memo on ``w``, emptied if it holds another truncation."""
+    if w.memo.get("k_max") != k_max:
+        w.memo.clear()
+        w.memo["k_max"] = k_max
+    return w.memo
+
+
+def _table(w: WeightPair, k_max: int, k_hi: int) -> tuple:
+    """``w.table`` reaching at least k_hi, from the memo (module notes)."""
+    memo = _memo(w, k_max)
+    if len(memo.get("table", ((),))[0]) <= k_hi:
+        memo["table"] = w.table(k_hi)
+    return memo["table"]
+
+
+def _fill(w: WeightPair, k_max: int, shift: int, kind: str, lo: int, hi: int):
+    ms = np.arange(lo, hi + 1)
     st = _stencil(shift, ms[:, None])
+    if kind == "up":
+        return st.s[:, 0] > 0
+    reach = max(hi, 0) if kind == "inv_a" else max(-lo, hi, 0) + 1
+    a, b, lb = _table(w, k_max, k_max + reach)
     ks = np.arange(k_max + 1)
-    lo = st.q + 1 + ks  # b[k + 1] = B(k)
-    ibp = [row.sigma * np.sum(1.0 - b[k_max + 2 + row.q: k_max + 2 + row.q + row.n])
-           for row in (_stencil(shift, m) for m in ms.tolist())]
-    rows = _Rows(st.sigma * a[st.p + ks], b[lo + st.n], b[lo],
-                 np.exp(-st.s * (lb[st.n + st.s + ks] - lb[ks])),
-                 st.sigma / a[st.p + ks], np.exp(st.s * (lb[st.n + ks] - lb[ks])),
-                 1.0 / a[np.maximum(ms, 0)[:, None] + ks], np.array(ibp),
-                 st.s[:, 0] > 0)
-    for r in rows:  # shared by every later call
-        r.flags.writeable = False
-    return rows
+    return {
+        "amp": lambda: st.sigma * a[st.p + ks],
+        "on_c": lambda: b[st.q + 1 + ks + st.n],  # b[k + 1] = B(k)
+        "on_next": lambda: b[st.q + 1 + ks],
+        "exp_h": lambda: np.exp(-st.s * (lb[st.n + st.s + ks] - lb[ks])),
+        "inv_amp": lambda: st.sigma / a[st.p + ks],
+        "exp_g": lambda: np.exp(st.s * (lb[st.n + ks] - lb[ks])),
+        "inv_a": lambda: 1.0 / a[np.maximum(ms, 0)[:, None] + ks],
+        "ibp": lambda: np.array([
+            row.sigma * np.sum(1.0 - b[k_max + 2 + row.q: k_max + 2 + row.q + row.n])
+            for row in (_stencil(shift, m) for m in ms.tolist())]),
+    }[kind]()
 
 
-def _rows(w: WeightPair, k_max: int, shift: int, lo: int, hi: int) -> _Rows:
-    """Weight rows of D (shift +1) or D̄ (shift -1) at input modes lo..hi,
-    from the memo on ``w`` (module notes)."""
-    memo = w.memo
-    if memo.get("k_max") != k_max:
-        memo.clear()
-        memo["k_max"] = k_max
-    radius = max(-lo, hi, 0)
-    if memo.get(shift, (-1,))[0] < radius:
-        memo[shift] = (radius, _fill(w, k_max, shift, radius), {})
-    have, rows, views = memo[shift]
-    if (lo, hi) not in views:
-        views[lo, hi] = _Rows(*(r[have + lo: have + hi + 1] for r in rows))
-    return views[lo, hi]
+def _rows(w: WeightPair, k_max: int, shift: int, lo: int, hi: int,
+          kinds: tuple[str, ...]) -> list[np.ndarray]:
+    """Weight rows of the given kinds of D (shift +1) or D̄ (shift -1) at
+    input modes lo..hi, from the memo on ``w`` (module notes)."""
+    memo, out = _memo(w, k_max), []
+    for kind in kinds:
+        got = memo.get((kind, shift))
+        if got is None or lo < got[0] or hi > got[1]:
+            span = (lo, hi) if got is None else (min(lo, got[0]), max(hi, got[1]))
+            got = memo[kind, shift] = (*span, _fill(w, k_max, shift, kind, *span))
+            got[2].flags.writeable = False  # shared by every later call
+        out.append(got[2][lo - got[0]: hi - got[0] + 1])
+    return out
 
 
 def _operand(a: ToeplitzElement, w: WeightPair, shift: int):
-    """Weight rows at the modes of a, their s = +1 mask as a column, c(k) and
-    c(k+s) (by value below k = 0, the declared tail or 0 above k_max)."""
-    rows, c = _rows(w, a.k_max, shift, a.mode_lo, a.mode_hi), a.coeffs
+    """Weight rows σA(k+p), B(k+n+q), B(k+q) at the modes of a, their s = +1
+    mask as a column, c(k) and c(k+s) (by value below k = 0, the declared
+    tail or 0 above k_max)."""
+    *rows, up = _rows(w, a.k_max, shift, a.mode_lo, a.mode_hi,
+                      ("amp", "on_c", "on_next", "up"))
+    c = a.coeffs
     nxt = np.empty_like(c)
     nxt[:, :-1], nxt[:, -1] = c[:, 1:], a.tail_values
-    down = ~rows.up
+    down = ~up
     nxt[down, 1:], nxt[down, 0] = c[down, :-1], c[down, 0]
-    return rows, rows.up[:, None], c, nxt
+    return rows, up[:, None], c, nxt
 
 
 def _apply(a: ToeplitzElement, w: WeightPair, shift: int) -> ToeplitzElement:
-    rows, up, c, nxt = _operand(a, w, shift)
+    (amp, on_c, on_next), up, c, nxt = _operand(a, w, shift)
     # reading c(k+1) past k_max costs one valid k, unless the tail is declared
     shrink = bool(np.any(up[:, 0] & a.present & ~a.declared))
     return ToeplitzElement(a.k_max, a.mode_lo + shift,
-                           rows.amp * (rows.on_c * c - rows.on_next * nxt),
+                           amp * (on_c * c - on_next * nxt),
                            a.present, tail_start=a.tail_start,
                            k_valid=max(a.k_valid - shrink, -1))
 
@@ -173,14 +195,14 @@ def polar_split(a: ToeplitzElement, w: WeightPair,
     shift = {"D": 1, "Dbar": -1}.get(which)
     if shift is None:
         raise ValueError(f"which must be 'D' or 'Dbar', got {which!r}")
-    rows, up, c, nxt = _operand(a, w, shift)
-    later = np.where(up, rows.on_next, rows.on_c)
+    (amp, on_c, on_next), up, c, nxt = _operand(a, w, shift)
+    later = np.where(up, on_next, on_c)
     earlier = np.where(up, c, nxt)
     k_valid = max(a.k_valid - 1, -1)
     return tuple(ToeplitzElement(a.k_max, a.mode_lo + shift, part, a.present,
                                  tail_start=a.tail_start, k_valid=k_valid)
-                 for part in (rows.amp * later * (c - nxt),
-                              rows.amp * (rows.on_c - rows.on_next) * earlier))
+                 for part in (amp * later * (c - nxt),
+                              amp * (on_c - on_next) * earlier))
 
 
 def kernel_basis(w: WeightPair, which: Which, n_max: int,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement, power_UB
 from .hilbert import norm_fourier
-from .ncops import _rows, apply_D
+from .ncops import _rows, _table, apply_D
 from .report import CheckResult, DecompositionError, Report, TruncationWarning
 from .weights import WeightPair
 
@@ -54,30 +54,32 @@ def _tail_warning(b: ToeplitzElement, w: WeightPair, up: np.ndarray,
 
 
 def _summands(b: ToeplitzElement, w: WeightPair, shift: int):
-    """Weight rows at the modes m - shift of x, and exp(-s H(j)) b(j) /
+    """The s = +1 mask at the modes m - shift of x, and exp(-s H(j)) b(j) /
     (σ A(j+p)) for j = 0..k_max."""
-    rows = _rows(w, b.k_max, shift, b.mode_lo - shift, b.mode_hi - shift)
-    return rows, rows.exp_h * b.coeffs * rows.inv_amp
+    exp_h, inv_amp, up = _rows(w, b.k_max, shift, b.mode_lo - shift,
+                               b.mode_hi - shift, ("exp_h", "inv_amp", "up"))
+    return up, exp_h * b.coeffs * inv_amp
 
 
 def _solve(b: ToeplitzElement, w: WeightPair, shift: int,
            tail_tol: float) -> ToeplitzElement:
     """Closed-form x with D x = b (shift +1) or D̄ x = b (shift -1)."""
-    rows, terms = _summands(b, w, shift)
-    up = rows.up  # j >= k sums
+    up, terms = _summands(b, w, shift)  # up: j >= k sums
+    exp_g, = _rows(w, b.k_max, shift, b.mode_lo - shift, b.mode_hi - shift,
+                   ("exp_g",))
     total = np.empty_like(terms)
     total[~up] = np.cumsum(terms[~up], axis=1)
     total[up] = np.cumsum(terms[up, ::-1], axis=1)[:, ::-1]
     _tail_warning(b, w, up, tail_tol)
-    return ToeplitzElement(b.k_max, b.mode_lo - shift, rows.exp_g * total,
+    return ToeplitzElement(b.k_max, b.mode_lo - shift, exp_g * total,
                            b.present, tail_start=b.tail_start, k_valid=b.k_valid)
 
 
 def _forced_boundary_values(b: ToeplitzElement, w: WeightPair) -> dict[int, complex]:
     """Boundary values of the forced (s = -1) modes of Q b, by output mode:
     the limit of the closed form is its full j-sum, since exp(-G(k)) -> 1."""
-    rows, terms = _summands(b, w, +1)
-    forced = ~rows.up & b.present
+    up, terms = _summands(b, w, +1)
+    forced = ~up & b.present
     modes = (b.mode_lo - 1 + np.flatnonzero(forced)).tolist()
     return dict(zip(modes, np.sum(terms[forced], axis=1).tolist()))
 
@@ -107,8 +109,9 @@ def _norm_bound(norm_qb: float, norm_b: float, w: WeightPair,
     The reciprocal sum is the k <= k_max partial sum plus the closed-form
     tail bound, so C dominates the untruncated constant.
     """
-    rows = _rows(w, k_max, +1, 0, 0)  # 1/A(k) and B(k) at mode 0
-    constant = (float(np.sum(rows.inv_a[0])) + w.inv_a_tail(k_max)) / rows.on_next[0, 0]
+    inv_a, = _rows(w, k_max, +1, 0, 0, ("inv_a",))  # 1/A(k), k <= k_max
+    b0 = float(_table(w, k_max, k_max)[1][1])  # table B[k + 1] = B(k)
+    constant = (float(np.sum(inv_a[0])) + w.inv_a_tail(k_max)) / b0
     return constant, norm_qb <= constant * norm_b * (1.0 + 1e-12) + 1e-300
 
 

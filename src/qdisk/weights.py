@@ -53,8 +53,8 @@ class WeightPair:
 
     ``a_fn``/``b_fn`` must accept numpy integer arrays (k >= 0) and return
     float arrays.  ``k_table_max`` is the last evaluable k for table-backed
-    pairs (None means unbounded).  ``memo`` holds the stencil weight rows of
-    one truncation, filled by ``ncops._rows`` (see the ``ncops`` notes).
+    pairs (None means unbounded).  ``memo`` holds the weight table and rows
+    of one truncation, filled by ``ncops`` (see its module notes).
     """
 
     a_fn: Callable[[np.ndarray], np.ndarray]

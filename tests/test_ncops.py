@@ -6,9 +6,11 @@ import pytest
 from qdisk import (BoundaryFunction, adjoint, apply_D, apply_Dbar, apply_Q,
                    apply_Qbar, boundary_operator_check, extend, from_mode,
                    identity, inner_product_fourier,
-                   integration_by_parts_residual, kernel_basis, polar_split,
+                   integration_by_parts_residual, kernel_basis, norm_bound_check,
+                   norm_fourier, polar_split,
                    power_UB, quantum_disk_structure_check,
-                   quantum_disk_weights, random_element, to_matrix)
+                   quantum_disk_weights, random_element, table_weights,
+                   to_matrix)
 from qdisk.parametrix import _norm_bound
 from qdisk.weights import WeightPair
 
@@ -261,15 +263,13 @@ class TestStructure:
 
 
 def _memo_arrays(w):
-    """Every array the weight memo holds: the rows of each shift and the
-    row views handed out for mode ranges."""
+    """Every array the weight memo holds: the table and the row of each kind
+    and shift."""
     for key, entry in w.memo.items():
-        if key == "k_max":
-            continue
-        _, rows, views = entry
-        yield from rows
-        for view in views.values():
-            yield from view
+        if key == "table":
+            yield from entry
+        elif key != "k_max":
+            yield entry[2]
 
 
 class TestWeightMemo:
@@ -304,9 +304,55 @@ class TestWeightMemo:
         assert {len(x[-1]) for x in _memo_arrays(w) if x.ndim == 2} == {513}
         apply_D(random_element(rng, 4096, -2, 2), w)
         assert w.memo["k_max"] == 4096
-        arrays = [x for x in _memo_arrays(w) if x.ndim == 2]
-        assert arrays and all(x.shape[1] == 4097 for x in arrays)
-        assert set(w.memo) == {"k_max", +1}
+        arrays = list(_memo_arrays(w))
+        assert all(x.shape[1] == 4097 for x in arrays if x.ndim == 2)
+        assert all(len(x) > 4097 for x in w.memo["table"])
+        assert set(w.memo) == {"k_max", "table", ("amp", 1), ("on_c", 1),
+                               ("on_next", 1), ("up", 1)}
+
+    def test_memo_fills_only_the_kinds_and_modes_asked_for(self, rng):
+        w = quantum_disk_weights(0.7)
+        a = random_element(rng, 256, 2, 4)
+        inner_product_fourier(a, a, w)
+        assert set(w.memo) == {"k_max", "table", ("inv_a", 1)}
+        assert w.memo["inv_a", 1][:2] == (2, 4)
+        assert len(w.memo["table"][0]) == 256 + 4 + 1  # A up to k_max + 4
+        apply_Dbar(a, w)
+        apply_Dbar(random_element(rng, 256, -1, 0), w)  # grows to the union
+        assert {key: w.memo[key][:2] for key in w.memo if key[-1] == -1} == {
+            (kind, -1): (-1, 4) for kind in ("amp", "on_c", "on_next", "up")}
+
+    @pytest.mark.filterwarnings("ignore::qdisk.TruncationWarning")
+    def test_table_weights_need_only_the_range_each_reader_reads(self, rng):
+        """A table ending at k_max serves the pairing at modes <= 0 and the
+        norm-bound constant; the operators need the table to reach
+        k_max + r + 1 (r the largest |mode|).  Pairings equal those of the
+        closed-form weights the table was sampled from, and the constant its
+        definition (1/B(0)) (Σ_{k<=k_max} 1/A(k) + tail), the tail being 0
+        for tables."""
+        qd = quantum_disk_weights(0.5)
+
+        def sampled(k_hi):
+            ks = np.arange(k_hi + 1)
+            return table_weights(qd.a_at(ks), qd.b_at(ks))
+
+        def constant(w):
+            return (w.inv_a_partial_sum(k_max) + w.inv_a_tail(k_max)) / w.b_at(0)
+
+        k_max = 40
+        a = random_element(rng, k_max, -3, 0)
+        b = random_element(rng, k_max, -3, 0)
+        w = sampled(k_max)
+        assert norm_fourier(a, w) == norm_fourier(a, qd)
+        assert inner_product_fourier(a, b, w) == inner_product_fourier(a, b, qd)
+        assert _norm_bound(1.0, 1.0, w, k_max)[0] == constant(w)
+        with pytest.raises(ValueError, match="weight table ends"):
+            apply_Q(b, w)
+        wide = sampled(k_max + 4 + 1)  # Q reads modes -4..-1
+        got = norm_bound_check(b, wide).results[0].observed
+        want = norm_bound_check(b, qd).results[0].observed
+        assert (got["lhs"], got["norm_b"]) == (want["lhs"], want["norm_b"])
+        assert got["bound_constant"] == constant(wide)
 
     def test_warm_calls_evaluate_no_weights(self, rng, monkeypatch):
         w = quantum_disk_weights(1.0)
