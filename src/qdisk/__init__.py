@@ -14,8 +14,8 @@ from .classical import (RadialModeFunction, apply_D_classical,
                         integration_by_parts_classical, radial_grid)
 from .element import (BoundaryFunction, ToeplitzElement, adjoint, element,
                       extend, from_mode, identity, multiply, power_UB,
-                      random_element, restrict, to_matrix, u_power,
-                      ustar_power, zero)
+                      random_element, restrict, u_power, ustar_power,
+                      zero)
 from .hilbert import (abel_identity_check, boundary_pairing,
                       inner_product_fourier, integration_by_parts_residual,
                       norm_fourier)
@@ -40,7 +40,7 @@ __all__ = [
     "integration_by_parts_classical", "radial_grid",
     "BoundaryFunction", "ToeplitzElement", "adjoint", "element", "extend",
     "from_mode", "identity", "multiply", "power_UB", "random_element",
-    "restrict", "to_matrix", "u_power", "ustar_power", "zero",
+    "restrict", "u_power", "ustar_power", "zero",
     "abel_identity_check", "boundary_pairing",
     "inner_product_fourier", "integration_by_parts_residual", "norm_fourier",
     "apply_D", "apply_Dbar", "boundary_operator_check", "kernel_basis",

@@ -10,8 +10,7 @@ signed mode m:
 
 Mode 0 is stored once, on the g side.  Each signed mode is one matrix
 diagonal, so the l2 matrix picture is a banded matrix whose bandwidth is the
-mode range; ``to_matrix`` realizes it and serves as the oracle for every
-algebraic identity in the package.
+mode range.
 
 Layout: the sequences are the rows of one complex array ``coeffs`` (modes x
 (k_max+1)) over the contiguous mode range mode_lo..mode_hi.  The row mask
@@ -50,7 +49,6 @@ __all__ = [
     "from_mode",
     "u_power",
     "ustar_power",
-    "to_matrix",
     "multiply",
     "adjoint",
     "power_UB",
@@ -131,10 +129,6 @@ class ToeplitzElement:
     @property
     def mode_max(self) -> int:
         return max(self.modes, default=0)
-
-    def support_max(self) -> float:
-        """Largest |coefficient| stored at k = k_max (truncation-edge size)."""
-        return float(np.max(np.abs(self.coeffs[self.present, -1]), initial=0.0))
 
     # -- linear structure ---------------------------------------------------
 
@@ -299,27 +293,6 @@ def ustar_power(n: int, k_max: int) -> ToeplitzElement:
 
 
 # -- core operations ----------------------------------------------------------
-
-
-def to_matrix(a: ToeplitzElement, dim: int) -> np.ndarray:
-    """Dense l2 matrix of the element on the first ``dim`` basis vectors.
-
-    Mode m >= 0 contributes g_m(k) at (k+m, k); mode m < 0 contributes
-    f_{|m|}(k) at (k, k+|m|).  This is the independent oracle for products,
-    adjoints and the commutator operators.
-    """
-    if dim > a.k_max + 1:
-        raise ValueError(f"dim={dim} exceeds stored range k_max+1={a.k_max + 1}")
-    out = np.zeros((dim, dim), dtype=complex)
-    for m, c in a.modes.items():
-        if m >= 0:
-            ks = np.arange(dim - m)
-            out[ks + m, ks] = c[: dim - m]
-        else:
-            n = -m
-            ks = np.arange(dim - n)
-            out[ks, ks + n] = c[: dim - n]
-    return out
 
 
 def adjoint(a: ToeplitzElement) -> ToeplitzElement:

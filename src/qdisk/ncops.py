@@ -58,7 +58,7 @@ from typing import Literal
 import numpy as np
 
 from .element import (ToeplitzElement, BoundaryFunction, adjoint, extend,
-                      power_UB, restrict, to_matrix)
+                      from_mode, multiply, power_UB, restrict)
 from .report import CheckResult, Report
 from .weights import WeightPair, quantum_disk_weights
 
@@ -72,6 +72,14 @@ __all__ = [
 ]
 
 Which = Literal["D", "Dbar"]
+_SHIFTS = {"D": 1, "Dbar": -1}
+
+
+def _shift(which: Which) -> int:
+    """+1 for D, -1 for D̄; any other name is a ValueError."""
+    if which not in _SHIFTS:
+        raise ValueError(f"which must be 'D' or 'Dbar', got {which!r}")
+    return _SHIFTS[which]
 
 
 _Stencil = namedtuple("_Stencil", "s p sigma n q")
@@ -192,9 +200,7 @@ def polar_split(a: ToeplitzElement, w: WeightPair,
     vanishes, belongs entirely to the angular part), so radial + angular
     still reproduces the full operator exactly.
     """
-    shift = {"D": 1, "Dbar": -1}.get(which)
-    if shift is None:
-        raise ValueError(f"which must be 'D' or 'Dbar', got {which!r}")
+    shift = _shift(which)
     (amp, on_c, on_next), up, c, nxt = _operand(a, w, shift)
     later = np.where(up, on_next, on_c)
     earlier = np.where(up, c, nxt)
@@ -214,11 +220,7 @@ def kernel_basis(w: WeightPair, which: Which, n_max: int,
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     basis = [power_UB(w, n, k_max) for n in range(n_max + 1)]
-    if which == "Dbar":
-        basis = [adjoint(p) for p in basis]
-    elif which != "D":
-        raise ValueError(f"which must be 'D' or 'Dbar', got {which!r}")
-    return basis
+    return basis if _shift(which) > 0 else [adjoint(p) for p in basis]
 
 
 def boundary_operator_check(f: BoundaryFunction, w: WeightPair, k_max: int,
@@ -233,9 +235,9 @@ def boundary_operator_check(f: BoundaryFunction, w: WeightPair, k_max: int,
     does not converge to 1 are flagged: the comparison would then be against
     (limit) · f' instead.
     """
+    shift = _shift(which)
     if tail_window is None:
         tail_window = max(8, k_max // 64)
-    shift = 1 if which == "D" else -1
     got = restrict(_apply(extend(f, k_max), w, shift), tail_window)
 
     expected = {m + shift: m * c for m, c in f.modes.items() if m != 0}
@@ -269,57 +271,60 @@ def boundary_operator_check(f: BoundaryFunction, w: WeightPair, k_max: int,
     return report
 
 
+def _interior_max(x: ToeplitzElement, w: WeightPair | None = None) -> float:
+    """Largest |coefficient| over the interior block of the matrix picture,
+    rows and columns <= k_max - 2 (mode m up to k = k_max - 2 - |m|).  With
+    weights w, each matrix row is divided by A first: mode m at k lies in
+    row k + max(m, 0), so this is the memo's inv_a row."""
+    ms = np.arange(x.mode_lo, x.mode_hi + 1)[:, None]
+    inside = np.arange(x.k_max + 1) <= x.k_max - 2 - np.abs(ms)
+    c = x.coeffs
+    if w is not None:
+        c = c * _rows(w, x.k_max, +1, x.mode_lo, x.mode_hi, ("inv_a",))[0]
+    return float(np.max(np.abs(c), where=inside, initial=0.0))
+
+
 def quantum_disk_structure_check(mu: float, k_max: int) -> Report:
     """Structure checks for the weighted-shift realization z = U B(K).
 
-    Verifies, on the interior block: (i) the commutator [z*, z] is diagonal
-    with eigenvalues mu/((1+k mu)(1+(k+1) mu)); (ii) the defining relation
-    [z*, z] = mu (1 - z z*)(1 - z* z) holds entrywise; (iii) with scale-1
-    weights, D(1) = 0, D(z) = 0, D(z*) = -1 and D̄(1) = 0, D̄(z) = 1,
-    D̄(z*) = 0 (the derivative normalization 𝒟(z*) = 1 with D = -𝒟).
+    Verifies, on the interior block k <= k_max - 2: (i) the commutator
+    [z*, z] is diagonal with eigenvalues mu/((1+k mu)(1+(k+1) mu)); (ii) the
+    defining relation [z*, z] = mu (1 - z z*)(1 - z* z) holds entrywise;
+    (iii) with scale-1 weights, D(1) = 0, D(z) = 0, D(z*) = -1 and
+    D̄(1) = 0, D̄(z) = 1, D̄(z*) = 0 (the derivative normalization
+    𝒟(z*) = 1 with D = -𝒟).  Everything is formed in Fourier form with
+    ``multiply``, so the cost is O(k_max).
     """
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must lie in (0, 1], got {mu}")
     w1 = quantum_disk_weights(mu, scale=1.0)
+    if k_max < 2:
+        raise ValueError(f"k_max must be >= 2 (the interior k <= k_max - 2 "
+                         f"is empty), got {k_max}")
+    one = power_UB(w1, 0, k_max)
     z = power_UB(w1, 1, k_max)
     zbar = adjoint(z)
-    dim = k_max + 1
-    mz = to_matrix(z, dim)
-    mzbar = to_matrix(zbar, dim)
+    z_zbar, zbar_z = multiply(z, zbar), multiply(zbar, z)
+    comm = zbar_z - z_zbar
 
-    comm = mzbar @ mz - mz @ mzbar
-    interior = dim - 2
-    ks = np.arange(interior)
+    ks = np.arange(k_max - 1)
     expected_eigs = mu / ((1.0 + ks * mu) * (1.0 + (ks + 1) * mu))
-    diag_err = float(np.max(np.abs(np.diag(comm)[:interior] - expected_eigs)))
-    off = comm[:interior, :interior] - np.diag(np.diag(comm)[:interior])
-    off_err = float(np.max(np.abs(off)))
+    diag_err = float(np.max(np.abs(comm.coeff(0)[: k_max - 1] - expected_eigs)))
+    off_err = _interior_max(comm - from_mode(0, comm.coeff(0), k_max))
 
-    eye = np.eye(dim)
-    rhs = mu * (eye - mz @ mzbar) @ (eye - mzbar @ mz)
-    rel_err = float(np.max(np.abs((comm - rhs)[:interior, :interior])))
+    rhs = multiply(mu * (one - z_zbar), one - zbar_z)
+    rel_err = _interior_max(comm - rhs)
 
     # The operators carry the unbounded left factor A(K); measure defects at
     # the commutator level by dividing the matrix rows by A (else roundoff is
     # amplified by A(k) ~ k^2 and no fixed tolerance is meaningful).
-    inv_a_rows = (1.0 / w1.a_at(np.arange(dim)))[:, None]
-
-    def _bracket_defect(x: ToeplitzElement, reference: ToeplitzElement | None,
-                        hi: int) -> float:
-        diff = x if reference is None else x - reference
-        mat = to_matrix(diff, dim) * inv_a_rows
-        return float(np.max(np.abs(mat[: hi + 1, : hi + 1])))
-
-    hi = k_max - 2
-    one = power_UB(w1, 0, k_max)
-    rel = {
-        "D(1)": _bracket_defect(apply_D(one, w1), None, hi),
-        "D(z)": _bracket_defect(apply_D(z, w1), None, hi),
-        "D(zbar)+1": _bracket_defect(apply_D(zbar, w1), (-1.0) * one, hi),
-        "Dbar(1)": _bracket_defect(apply_Dbar(one, w1), None, hi),
-        "Dbar(z)-1": _bracket_defect(apply_Dbar(z, w1), one, hi),
-        "Dbar(zbar)": _bracket_defect(apply_Dbar(zbar, w1), None, hi),
+    defects = {
+        "D(1)": apply_D(one, w1),
+        "D(z)": apply_D(z, w1),
+        "D(zbar)+1": apply_D(zbar, w1) + one,
+        "Dbar(1)": apply_Dbar(one, w1),
+        "Dbar(z)-1": apply_Dbar(z, w1) - one,
+        "Dbar(zbar)": apply_Dbar(zbar, w1),
     }
+    rel = {name: _interior_max(x, w1) for name, x in defects.items()}
     rel_max = max(rel.values())
 
     report = Report("quantum-disk-structure")

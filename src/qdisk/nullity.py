@@ -25,7 +25,8 @@ Two routes:
   H - tI, H the Golub-Kahan matrix of the bordered system, by the sign of
   the Schur complement s(t) = -t - w^T (T - tI)^{-1} w (Haynsworth), one
   banded solve per query.  Dot products with w run over its support only.
-* dense: scipy svdvals on the full matrix, O(K^3) — the test oracle.
+* dense: scipy svdvals on the full matrix, O(K^3) — a test oracle, kept
+  here only because the benchmark ladder imports it from this module.
 """
 
 from __future__ import annotations

@@ -1,21 +1,95 @@
 """Independent oracles that the tests play against the production routes.
 
-They live with the tests because the library never runs them: the trace
-route of the Hilbert pairing builds two dense (K+1) x (K+1) matrices, and
-the dense matrix of an APS mode system exists only to be counted by SVD
-against the structured null count.
+They live with the tests because the library never runs them: the l2 matrix
+picture of an element (``to_matrix``, the oracle for every algebraic
+identity) and the dense quantum-disk structure check built on it, the trace
+route of the Hilbert pairing, which builds two dense (K+1) x (K+1) matrices,
+and the dense matrix of an APS mode system, which exists only to be counted
+by SVD against the structured null count.
 """
 
 import warnings
 
 import numpy as np
 
-from qdisk import TruncationWarning, to_matrix
+from qdisk import (TruncationWarning, adjoint, apply_D, apply_Dbar, power_UB,
+                   quantum_disk_weights)
 from qdisk.aps import _mode_bands
 
 
+def to_matrix(a, dim: int) -> np.ndarray:
+    """Dense l2 matrix of the element on the first ``dim`` basis vectors.
+
+    Mode m >= 0 contributes g_m(k) at (k+m, k); mode m < 0 contributes
+    f_{|m|}(k) at (k, k+|m|).  This is the independent oracle for products,
+    adjoints and the commutator operators.
+    """
+    if dim > a.k_max + 1:
+        raise ValueError(f"dim={dim} exceeds stored range k_max+1={a.k_max + 1}")
+    out = np.zeros((dim, dim), dtype=complex)
+    for m, c in a.modes.items():
+        if m >= 0:
+            ks = np.arange(dim - m)
+            out[ks + m, ks] = c[: dim - m]
+        else:
+            n = -m
+            ks = np.arange(dim - n)
+            out[ks, ks + n] = c[: dim - n]
+    return out
+
+
+def support_max(a) -> float:
+    """Largest |coefficient| stored at k = k_max (truncation-edge size)."""
+    return float(np.max(np.abs(a.coeffs[a.present, -1]), initial=0.0))
+
+
+def structure_check_dense(mu: float, k_max: int) -> list[dict]:
+    """The observed values of ``quantum_disk_structure_check``, check by
+    check, from dense (K+1) x (K+1) matrices: the matrix commutator, the
+    defining relation as matrix products and the derivative defects as
+    matrices with rows divided by A."""
+    w1 = quantum_disk_weights(mu, scale=1.0)
+    z = power_UB(w1, 1, k_max)
+    zbar = adjoint(z)
+    dim = k_max + 1
+    mz = to_matrix(z, dim)
+    mzbar = to_matrix(zbar, dim)
+
+    comm = mzbar @ mz - mz @ mzbar
+    interior = dim - 2
+    ks = np.arange(interior)
+    expected_eigs = mu / ((1.0 + ks * mu) * (1.0 + (ks + 1) * mu))
+    diag_err = float(np.max(np.abs(np.diag(comm)[:interior] - expected_eigs)))
+    off = comm[:interior, :interior] - np.diag(np.diag(comm)[:interior])
+    off_err = float(np.max(np.abs(off)))
+
+    eye = np.eye(dim)
+    rhs = mu * (eye - mz @ mzbar) @ (eye - mzbar @ mz)
+    rel_err = float(np.max(np.abs((comm - rhs)[:interior, :interior])))
+
+    inv_a_rows = (1.0 / w1.a_at(np.arange(dim)))[:, None]
+
+    def _bracket_defect(x, reference, hi: int) -> float:
+        diff = x if reference is None else x - reference
+        mat = to_matrix(diff, dim) * inv_a_rows
+        return float(np.max(np.abs(mat[: hi + 1, : hi + 1])))
+
+    hi = k_max - 2
+    one = power_UB(w1, 0, k_max)
+    rel = {
+        "D(1)": _bracket_defect(apply_D(one, w1), None, hi),
+        "D(z)": _bracket_defect(apply_D(z, w1), None, hi),
+        "D(zbar)+1": _bracket_defect(apply_D(zbar, w1), (-1.0) * one, hi),
+        "Dbar(1)": _bracket_defect(apply_Dbar(one, w1), None, hi),
+        "Dbar(z)-1": _bracket_defect(apply_Dbar(z, w1), one, hi),
+        "Dbar(zbar)": _bracket_defect(apply_Dbar(zbar, w1), None, hi),
+    }
+    return [{"max_diag_error": diag_err, "max_offdiag": off_err},
+            {"max_entry_error": rel_err}, rel]
+
+
 def _warn_if_truncated(a, tail_tol: float, label: str) -> None:
-    edge = a.support_max()
+    edge = support_max(a)
     declared = max((abs(t) for t in a.tails.values()), default=0.0)
     size = max(edge, declared)
     if size > tail_tol:

@@ -9,8 +9,7 @@ from qdisk import (BoundaryFunction, adjoint, apply_D, apply_Dbar, apply_Q,
                    integration_by_parts_residual, kernel_basis, norm_bound_check,
                    norm_fourier, polar_split,
                    power_UB, quantum_disk_structure_check,
-                   quantum_disk_weights, random_element, table_weights,
-                   to_matrix)
+                   quantum_disk_weights, random_element, table_weights)
 from qdisk.parametrix import _norm_bound
 from qdisk.weights import WeightPair
 
@@ -27,8 +26,8 @@ def _interior_max(x, hi):
 
 def _commutator_oracle(a, z, w, dim):
     """A(K) [to_matrix(z), to_matrix(a)] — the matrix route."""
-    ma = to_matrix(a, dim)
-    mz = to_matrix(z, dim)
+    ma = oracles.to_matrix(a, dim)
+    mz = oracles.to_matrix(z, dim)
     return w.a_at(np.arange(dim))[:, None] * (mz @ ma - ma @ mz)
 
 
@@ -57,7 +56,7 @@ class TestApplyD:
         z = power_UB(w2, 1, K)
         for _ in range(5):
             a = random_element(rng, K, -5, 5)
-            got = to_matrix(apply_D(a, w2), K + 1)
+            got = oracles.to_matrix(apply_D(a, w2), K + 1)
             oracle = _commutator_oracle(a, z, w2, K + 1)
             hi = K - 6
             scale = np.max(np.abs(oracle))
@@ -93,7 +92,7 @@ class TestApplyDbar:
         zbar = adjoint(power_UB(w2, 1, K))
         for _ in range(5):
             a = random_element(rng, K, -5, 5)
-            got = to_matrix(apply_Dbar(a, w2), K + 1)
+            got = oracles.to_matrix(apply_Dbar(a, w2), K + 1)
             oracle = _commutator_oracle(a, zbar, w2, K + 1)
             hi = K - 6
             scale = np.max(np.abs(oracle))
@@ -105,8 +104,8 @@ class TestApplyDbar:
         a_diag = w2.a_at(np.arange(dim))
         for _ in range(3):
             a = random_element(rng, K, -4, 4)
-            direct = to_matrix(apply_Dbar(a, w2), dim)
-            via_d = to_matrix(apply_D(adjoint(a), w2), dim)
+            direct = oracles.to_matrix(apply_Dbar(a, w2), dim)
+            via_d = oracles.to_matrix(apply_D(adjoint(a), w2), dim)
             routed = -a_diag[:, None] * via_d.conj().T / a_diag[None, :]
             hi = K - 6
             scale = np.max(np.abs(direct))
@@ -234,6 +233,12 @@ class TestBoundaryOperator:
         assert rec.expected["coefficients"] == {"1": 2.0 + 0.0j}
         assert report.passed
 
+    @pytest.mark.parametrize("which", ["dbar", "d", ""])
+    def test_rejects_unknown_operator(self, w2, which):
+        with pytest.raises(ValueError, match="which"):
+            boundary_operator_check(BoundaryFunction({1: 1.0 + 0.0j}), w2,
+                                    64, which)
+
     def test_flags_weights_without_normalization(self, w1):
         """scale=1 weights converge to 1/2, not 1: flagged, not compared."""
         report = boundary_operator_check(BoundaryFunction({1: 1.0 + 0.0j}),
@@ -251,8 +256,8 @@ class TestStructure:
         """mu=1: eigenvalues 1/2 at k=0 and 1/6 at k=1."""
         w = quantum_disk_weights(1.0, 1.0)
         z = power_UB(w, 1, 16)
-        mz = to_matrix(z, 17)
-        mzbar = to_matrix(adjoint(z), 17)
+        mz = oracles.to_matrix(z, 17)
+        mzbar = oracles.to_matrix(adjoint(z), 17)
         eigs = np.diag(mzbar @ mz - mz @ mzbar).real
         assert eigs[0] == pytest.approx(0.5, abs=1e-15)
         assert eigs[1] == pytest.approx(1.0 / 6.0, abs=1e-15)
@@ -260,6 +265,22 @@ class TestStructure:
     def test_rejects_out_of_range_mu(self):
         with pytest.raises(ValueError):
             quantum_disk_structure_check(1.5, 64)
+
+    @pytest.mark.parametrize("k_max", [64, 256])
+    @pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
+    def test_equals_dense_matrix_route(self, mu, k_max):
+        """The Fourier-form check observes exactly what the dense matrices do."""
+        report = quantum_disk_structure_check(mu, k_max)
+        assert ([r.observed for r in report.results]
+                == oracles.structure_check_dense(mu, k_max))
+
+    @pytest.mark.parametrize("k_max", [0, 1])
+    def test_rejects_empty_interior(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            quantum_disk_structure_check(1.0, k_max)
+
+    def test_smallest_interior_passes(self):
+        assert quantum_disk_structure_check(1.0, 2).passed
 
 
 def _memo_arrays(w):

@@ -4,7 +4,7 @@ import pytest
 from qdisk import (DecompositionError, TruncationWarning, adjoint, apply_D,
                    apply_Dbar, apply_Q, apply_Qbar, boundary_value_decomposition,
                    element, from_mode, identity, norm_bound_check, norm_fourier,
-                   power_UB, random_element, to_matrix, u_power, zero)
+                   power_UB, random_element, u_power, zero)
 
 K = 512
 

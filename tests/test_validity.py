@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from qdisk import (TruncationWarning, adjoint, apply_D, apply_Dbar, apply_Q,
                    element, multiply, power_UB, quantum_disk_weights,
-                   random_element, to_matrix)
+                   random_element)
+from oracles import to_matrix
 
 K, BIG = 40, 160
 LINKS = ("D", "Dbar", "adjoint", "multiply-left", "multiply-right")

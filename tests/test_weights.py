@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from qdisk import (adjoint, check_conditions, constant_classical_weight,
                    from_mode,
                    ClassicalWeight, limit_diagnostics, power_UB,
-                   quantum_disk_weights, table_weights, to_matrix,
-                   weights_from_json)
+                   quantum_disk_weights, table_weights, weights_from_json)
+from oracles import to_matrix
 
 
 class TestQuantumDiskWeights:
