@@ -25,6 +25,12 @@ Two routes:
   H - tI, H the Golub-Kahan matrix of the bordered system, by the sign of
   the Schur complement s(t) = -t - w^T (T - tI)^{-1} w (Haynsworth), one
   banded solve per query.  Dot products with w run over its support only.
+  The gap query, at GAP_RATIO * tau, comes first: the structural zeros are
+  exact eigenvalues of any zero-diagonal T and Sturm counts are monotone
+  in the shift in IEEE arithmetic (Demmel, Dhillon & Ren, On the
+  correctness of some bisection-like parallel eigenvalue algorithms in
+  floating point arithmetic, 1995), so structural <= count(tau) <=
+  count(GAP_RATIO * tau): if it finds only those zeros, tau is not asked.
 * dense: scipy svdvals on the full matrix, O(K^3) — a test oracle, kept
   here only because the benchmark ladder imports it from this module.
 """
@@ -133,9 +139,9 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
     Eigenvalues of T come in ±sigma pairs plus |rows - cols| structural
     zeros, so the count of eigenvalues in (-t, t) is
     2 * #{sigma < t} + |rows - cols|.  The threshold is the fixed one of
-    the module notes, so a count is two count-only dstebz queries on T
-    (at tau and GAP_RATIO * tau) sharing one zero diagonal, and no
-    eigenvalue is computed.
+    the module notes.  A count is one count-only dstebz query on T at
+    GAP_RATIO * tau, plus one at tau only when the first finds more than
+    the structural zeros (module notes); no eigenvalue is computed.
 
     ``unknowns`` is the column count of the system whose null space is
     wanted; pass the original one when the matrix handed in is a transpose
@@ -162,10 +168,14 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
 
     def _count(t: float) -> int:
         count = _count_within(zeros, off, t)
-        if border is None:
-            return count
-        s = -t - vals @ _shifted_solve(bands, w, t)[idx]
-        return count + (1 if s < 0.0 else -1)
+        if border is not None:
+            s = -t - vals @ _shifted_solve(bands, w, t)[idx]
+            count += 1 if s < 0.0 else -1
+        if count < structural or (count - structural) % 2:
+            raise IllConditionedError(
+                f"eigenvalue count {count} at t={t:.3e} is below the "
+                f"{structural} structural zero(s) or has the wrong parity")
+        return count
 
     if border is not None:
         idx = 2 * np.asarray(border[0])
@@ -177,12 +187,10 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
 
     threshold = _threshold(scale_dim)
     structural = abs(rows - cols)
-    n_t = _count(threshold)
     n_band = _count(GAP_RATIO * threshold)
+    # structural <= n_t <= n_band (module notes)
+    n_t = structural if n_band == structural else _count(threshold)
     _check_band((n_band - n_t) // 2, threshold)
-    if (n_t - structural) % 2:
-        raise IllConditionedError(
-            "eigenvalue count parity violated near the null threshold")
     below = (n_t - structural) // 2
     extra = unknowns - min(rows, cols)
     return NullCount(below + extra, threshold, below, extra)

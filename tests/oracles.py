@@ -4,8 +4,9 @@ They live with the tests because the library never runs them: the l2 matrix
 picture of an element (``to_matrix``, the oracle for every algebraic
 identity) and the dense quantum-disk structure check built on it, the trace
 route of the Hilbert pairing, which builds two dense (K+1) x (K+1) matrices,
-and the dense matrix of an APS mode system, which exists only to be counted
-by SVD against the structured null count.
+the dense matrix of an APS mode system, which exists only to be counted
+by SVD against the structured null count, and the two-query structured
+count that the gap-first count must equal field for field.
 """
 
 import warnings
@@ -14,6 +15,7 @@ import numpy as np
 
 from qdisk import (TruncationWarning, adjoint, apply_D, apply_Dbar, power_UB,
                    quantum_disk_weights)
+from qdisk import nullity
 from qdisk.aps import _mode_bands
 
 
@@ -128,6 +130,48 @@ def mode_matrix(w, a: int, k_max: int, window: int,
     if constrained:
         mat[rows, border[0]] = border[1]
     return mat
+
+
+def count_null_two_queries(diag, upper, rows, cols, scale_dim,
+                           unknowns=None, border=None):
+    """``count_null_bidiagonal`` as two Sturm queries, at tau and then at
+    GAP_RATIO * tau, followed by the band check and the parity check of
+    the count at tau."""
+    if unknowns is None:
+        unknowns = cols
+    scale = np.hypot(diag, np.concatenate([upper, np.zeros(len(diag) - len(upper))]))
+    scale[scale == 0.0] = 1.0
+    diag = diag / scale
+    upper = upper / scale[: len(upper)]
+    off = nullity._interleaved_offdiagonal(diag, upper, rows, cols)
+    size = rows + cols
+    zeros = np.zeros(size)
+
+    def count(t):
+        n = nullity._count_within(zeros, off, t)
+        if border is None:
+            return n
+        s = -t - vals @ nullity._shifted_solve(bands, w, t)[idx]
+        return n + (1 if s < 0.0 else -1)
+
+    if border is not None:
+        idx = 2 * np.asarray(border[0])
+        vals = border[1] / np.linalg.norm(border[1])
+        w = np.zeros(size)
+        w[idx] = vals
+        bands = np.array([np.r_[0.0, off], np.zeros(size), np.r_[off, 0.0]])
+        rows += 1
+    threshold = nullity._threshold(scale_dim)
+    structural = abs(rows - cols)
+    n_t = count(threshold)
+    n_band = count(nullity.GAP_RATIO * threshold)
+    nullity._check_band((n_band - n_t) // 2, threshold)
+    if (n_t - structural) % 2:
+        raise nullity.IllConditionedError(
+            "eigenvalue count parity violated near the null threshold")
+    below = (n_t - structural) // 2
+    extra = unknowns - min(rows, cols)
+    return nullity.NullCount(below + extra, threshold, below, extra)
 
 
 # -- mode-by-mode references of the whole-array kernels -----------------------

@@ -5,8 +5,13 @@ Production counts every per-mode system of ``index_numeric`` through
 the Haynsworth rule); ``count_null_dense`` on the same system scattered
 into a matrix is the reference.  Both routes share one threshold, fixed
 by the [1, 2] bound on sigma_max of a row-equilibrated bordered bidiagonal;
-the tests check that bound on the oracle's singular values.
+the tests check that bound on the oracle's singular values.  The count
+asks the gap query first and skips the query at the threshold when the
+gap query finds only the structural zeros; ``count_null_two_queries``,
+which always asks both, must give the same ``NullCount``.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,11 +21,12 @@ from scipy.linalg import eigvalsh_tridiagonal, lapack, svdvals
 
 from qdisk import (APSProjection, IllConditionedError, element,
                    apply_D, apply_Dbar, index_numeric, quantum_disk_weights)
-from qdisk import nullity
+from qdisk import classical, nullity
 from qdisk.aps import _mode_bands
+from qdisk.classical import _mode_nullity, index_classical
 from qdisk.cli import main
 from qdisk.nullity import count_null_bidiagonal, count_null_dense
-from oracles import mode_matrix
+from oracles import count_null_two_queries, mode_matrix
 
 
 def _top_sigma(matrix):
@@ -39,6 +45,28 @@ def _sweep_jobs(nmin=-6, nmax=6):
             jobs.add((m, m > n))
             jobs.add((-m, m <= n + 1))
     return sorted(jobs)
+
+
+def _count_dstebz(monkeypatch):
+    """Wrap ``nullity.dstebz``; the returned list gets one entry per call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lapack.dstebz(*args)
+
+    monkeypatch.setattr(nullity, "dstebz", counted)
+    return calls
+
+
+def _kahan_system(rows, ratio):
+    """Square upper bidiagonal with unit diagonal and ``ratio`` above it,
+    and the singular values of its row-equilibrated matrix in units of the
+    threshold: the smallest falls like ratio ** -rows, the others stay O(1)."""
+    diag, upper = np.ones(rows), np.full(rows - 1, ratio)
+    dense = np.diag(diag) + np.diag(upper, 1)
+    sigmas = svdvals(dense / np.linalg.norm(dense, axis=1)[:, None])
+    return diag, upper, sigmas / nullity._threshold(rows)
 
 
 @pytest.mark.parametrize("k_max", [128, 256])
@@ -65,6 +93,67 @@ def test_structured_count_matches_dense_on_the_sweep(k_max, mu):
         # negated D system, and the shared count must not see the sign
         assert count_null_bidiagonal(-diag, -upper, rows, cols, k_max,
                                      border=border) == got, job
+
+
+@pytest.mark.parametrize("k_max", [128, 512, 4096])
+@pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
+def test_count_equals_two_query_reference_on_the_nc_sweep(k_max, mu):
+    w = quantum_disk_weights(mu, 2.0)
+    for a, constrained in _sweep_jobs():
+        diag, upper, rows, cols, border = _mode_bands(w, a, k_max,
+                                                      k_max // 16, constrained)
+        for sign in (1.0, -1.0):
+            got = count_null_bidiagonal(sign * diag, sign * upper, rows, cols,
+                                        k_max, border=border)
+            want = count_null_two_queries(sign * diag, sign * upper, rows,
+                                          cols, k_max, border=border)
+            assert got == want, (a, constrained, sign)
+
+
+@pytest.mark.parametrize("grid", [257, 2048, 16384])
+def test_count_equals_two_query_reference_on_the_classical_sweep(
+        grid, monkeypatch):
+    jobs = _sweep_jobs()
+    got = [_mode_nullity(a, constrained, grid) for a, constrained in jobs]
+    monkeypatch.setattr(classical, "count_null_bidiagonal",
+                        count_null_two_queries)
+    want = [_mode_nullity(a, constrained, grid) for a, constrained in jobs]
+    assert got == want
+
+
+@pytest.mark.parametrize("index", [
+    partial(index_classical, m_points=16384),
+    partial(index_numeric, quantum_disk_weights(0.7, 2.0), k_max=512),
+], ids=["classical-grid-16384", "nc-K-512"])
+def test_sweep_asks_one_query_per_system(monkeypatch, index):
+    """Every system of both sweeps has no singular value below the gap
+    threshold, so each of the 35 counts is the gap query alone."""
+    calls = _count_dstebz(monkeypatch)
+    cache = {}
+    for n in range(-6, 7):
+        assert index(p=APSProjection(n), cache=cache).index == n + 1
+    assert len(cache) == 35
+    assert len(calls) == 35
+
+
+def test_singular_value_below_threshold_takes_both_queries(monkeypatch):
+    rows = 30
+    diag, upper, sigmas = _kahan_system(rows, 2.0)
+    assert np.sum(sigmas < 1.0) == 1
+    assert not np.any((sigmas >= 1.0) & (sigmas < nullity.GAP_RATIO))
+    calls = _count_dstebz(monkeypatch)
+    got = count_null_bidiagonal(diag, upper, rows, rows, rows)
+    assert (got.n_below, got.nullity, got.structural) == (1, 1, 0)
+    assert len(calls) == 2
+    assert got == count_null_two_queries(diag, upper, rows, rows, rows)
+
+
+def test_singular_value_in_the_gap_still_raises():
+    rows = 20
+    diag, upper, sigmas = _kahan_system(rows, 2.0)
+    assert 1.0 <= sigmas[-1] < nullity.GAP_RATIO
+    with pytest.raises(IllConditionedError, match="forbidden band"):
+        count_null_bidiagonal(diag, upper, rows, rows, rows)
 
 
 @pytest.mark.parametrize("side", ["ker", "coker"])
@@ -121,6 +210,8 @@ def test_bordered_count_matches_dense(rows, wide, seed, data):
     assert (got.nullity, got.n_below, got.structural) == (
         want.nullity, want.n_below, want.structural)
     assert got.threshold == want.threshold == tau
+    assert got == count_null_two_queries(diag, upper, rows, cols, rows,
+                                         border=(index, values))
     assert 1.0 <= sigmas[0] <= 2.0
 
 
@@ -207,6 +298,27 @@ def test_unconverged_sturm_count_is_ill_conditioned(monkeypatch, w2, capsys):
     assert main(["index-sweep", "--variant", "classical", "--grid", "257",
                  "--nmin", "0", "--nmax", "0"]) == 3
     assert "ill-conditioned" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gap_shift, tau_shift", [
+    (-2, 0),   # the gap query finds fewer than the structural zeros
+    (1, 0),    # ... or the structural zeros plus an odd count
+    (2, -2),   # the threshold query finds fewer than the structural zeros
+], ids=["gap-below-structural", "gap-odd", "threshold-below-structural"])
+def test_count_inconsistent_with_structural_zeros_is_ill_conditioned(
+        monkeypatch, capsys, gap_shift, tau_shift):
+    tau = nullity._threshold(257)
+
+    def shifted(*args):
+        count, w, iblock, isplit, info = lapack.dstebz(*args)
+        count += gap_shift if args[4] > 10.0 * tau else tau_shift
+        return count, w, iblock, isplit, info
+
+    monkeypatch.setattr(nullity, "dstebz", shifted)
+    assert main(["index-sweep", "--variant", "classical", "--grid", "257",
+                 "--nmin", "0", "--nmax", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "ill-conditioned" in err and "structural zero(s)" in err
 
 
 def test_rejected_sturm_argument_is_an_internal_error(monkeypatch):
