@@ -32,7 +32,7 @@ from .ncops import _stencil, _table
 from .nullity import NullCount, count_null_bidiagonal
 from .parametrix import _forced_boundary_values, apply_Q
 from .report import IllConditionedError
-from .weights import WeightPair
+from .weights import WeightPair, _validate_weights
 
 __all__ = [
     "APSProjection",
@@ -104,6 +104,16 @@ def _mode_bands(w: WeightPair, a: int, k_max: int, window: int,
     return diag, upper, rows, k_max + 1, border
 
 
+def _mode_range(p: APSProjection, mode_range: tuple[int, int] | None
+                ) -> tuple[int, int]:
+    """``mode_range``, by default [-|N| - 4, |N| + 4], which it must cover."""
+    reach = abs(p.cutoff) + 4
+    lo, hi = mode_range = (-reach, reach) if mode_range is None else mode_range
+    if lo > -reach or hi < reach:
+        raise ValueError(f"mode_range must cover [{-reach}, {reach}]")
+    return mode_range
+
+
 @dataclass
 class NumericIndex:
     dim_ker: int
@@ -127,11 +137,7 @@ def _sweep(p: APSProjection, mode_range: tuple[int, int] | None,
     per distinct system; ``per_mode`` lists every (side, mode).
     """
     n = p.cutoff
-    if mode_range is None:
-        mode_range = (-abs(n) - 4, abs(n) + 4)
-    lo, hi = mode_range
-    if lo > -abs(n) - 4 or hi < abs(n) + 4:
-        raise ValueError(f"mode_range must cover [{-abs(n) - 4}, {abs(n) + 4}]")
+    lo, hi = mode_range = _mode_range(p, mode_range)
     cache = {} if cache is None else cache
     per_mode = []
     dims = {"ker": 0, "coker": 0}
@@ -160,13 +166,19 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
     raise IllConditionedError).  ``cache`` may be shared across calls with
     the same weights/k_max to reuse per-(a, constrained) counts during
     sweeps: the kernel system at mode m and the cokernel system at mode -m
-    differ only by sign.
+    differ only by sign.  The weights are checked first over every k the
+    systems read, k <= k_max + max |a| + 1: A finite and positive, B in
+    (0, 1) and strictly increasing, or ValueError naming the first bad k.
     """
     window = k_max // 16
     if window < 8:
         raise IllConditionedError(
             f"k_max={k_max} is too small for the boundary window/gap "
             f"criterion (needs k_max >= 128)")
+    lo, hi = _mode_range(p, mode_range)
+    k_hi = k_max + max(-lo, hi) + 1
+    a_tab, b_tab, _ = _table(w, k_max, k_hi)  # b_tab[k + 1] = B(k)
+    _validate_weights(a_tab[: k_hi + 1], b_tab[1: k_hi + 2])
 
     def count(a: int, constrained: bool) -> NullCount:
         *bands, border = _mode_bands(w, a, k_max, window, constrained)

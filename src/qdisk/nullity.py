@@ -18,30 +18,35 @@ Two routes:
   bordered by one dense row w.  Singular values of B are the eigenvalues of
   its interleaved (Golub-Kahan) zero-diagonal tridiagonal T.  A threshold
   query is one pair of Sturm counts on T, at -t and t, in O(size) with
-  absolute accuracy eps * sigma_max: LAPACK dstebz is called directly with
-  a bisection tolerance wider than (-t, t), so it returns the count
-  without refining any eigenvalue.  The counts stay on T because squaring
-  would lose the small singular values.  The border changes the inertia of
-  H - tI, H the Golub-Kahan matrix of the bordered system, by the sign of
-  the Schur complement s(t) = -t - w^T (T - tI)^{-1} w (Haynsworth), one
-  banded solve per query.  Dot products with w run over its support only.
-  The gap query, at GAP_RATIO * tau, comes first: the structural zeros are
-  exact eigenvalues of any zero-diagonal T and Sturm counts are monotone
-  in the shift in IEEE arithmetic (Demmel, Dhillon & Ren, On the
+  absolute accuracy eps * sigma_max: LAPACK's Sturm kernel DLAEBZ
+  (IJOB = 1, bound at import from scipy's Cython LAPACK capsule) on the
+  inputs dstebz derives for it, E2 = off^2 with squares below the
+  underflow threshold zeroed (splits) and PIVMIN = tiny * max(1, max E2),
+  below which a pivot becomes -PIVMIN.  dstebz itself adds passes over T
+  that a count does not need; dlarrc lacks the pivot guard and miscounts
+  after a zero pivot at a split (0/0).  The guard keeps the counts
+  monotone in the shift in IEEE arithmetic (Demmel, Dhillon & Ren, On the
   correctness of some bisection-like parallel eigenvalue algorithms in
-  floating point arithmetic, 1995), so structural <= count(tau) <=
-  count(GAP_RATIO * tau): if it finds only those zeros, tau is not asked.
+  floating point arithmetic, 1995).  The counts stay on T
+  because squaring would lose the small singular values.  The border
+  changes the inertia of H - tI, H the Golub-Kahan matrix of the bordered
+  system, by the sign of the Schur complement s(t) = -t - w^T (T - tI)^{-1} w
+  (Haynsworth), one banded solve per query.  Dot products with w run over
+  its support only.  The gap query, at GAP_RATIO * tau, comes first: the
+  structural zeros are exact eigenvalues of any zero-diagonal T and the
+  counts are monotone, so structural <= count(tau) <= count(GAP_RATIO *
+  tau): if it finds only those zeros, tau is not asked.
 * dense: scipy svdvals on the full matrix, O(K^3) — a test oracle, kept
   here only because the benchmark ladder imports it from this module.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, svdvals
-from scipy.linalg.lapack import dstebz
+from scipy.linalg import cython_lapack, solve_banded, svdvals
 
 from .report import IllConditionedError
 
@@ -102,20 +107,59 @@ def _interleaved_offdiagonal(diag: np.ndarray, upper: np.ndarray,
     return off
 
 
-def _count_within(zeros: np.ndarray, off: np.ndarray, t: float) -> int:
-    """Eigenvalues in (-t, t] of the tridiagonal with diagonal ``zeros``
-    (all zero) and off-diagonal ``off``: dstebz with range "V" (1), the
-    values in (vl, vu].  A bisection tolerance wider than the interval
-    makes it return after the two endpoint Sturm counts.  The caller keeps
-    one ``zeros`` for all its queries: a fresh array per query of a long T
-    costs page faults on every query."""
-    count, _, _, _, info = dstebz(zeros, off, 1, -t, t, 0, 0, 4.0 * t, "E")
-    if info > 0:
-        raise IllConditionedError(
-            f"Sturm count did not converge at t={t:.3e} (dstebz info={info})")
-    if info < 0:
-        raise RuntimeError(f"dstebz rejected argument {-info}")
-    return count
+# DLAEBZ(IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E,
+# E2, NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO), by reference: i int, d double
+_DLAEBZ_ARGS = "iiiiiiddddddiddiidii"
+
+
+def _bind(capsule):
+    """The C function of a scipy Cython LAPACK capsule as a ctypes function
+    of 20 pointers, once its signature string is checked to be DLAEBZ's: a
+    mismatch raises ImportError here instead of crashing a later call."""
+    api, obj = ctypes.pythonapi, ctypes.py_object
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))(capsule)
+    args = name.decode().removeprefix("void (").removesuffix(")").split(", ")
+    kinds = "".join("i" if arg == "int *" else
+                    "d" if arg.endswith(("_d *", "double *")) else "?" for arg in args)
+    if kinds != _DLAEBZ_ARGS:
+        raise ImportError(f"scipy's dlaebz has an unexpected signature: {name!r}")
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)(address)
+
+
+_dlaebz = _bind(cython_lapack.__pyx_capi__["dlaebz"])
+_TINY = np.finfo(float).tiny
+
+
+def _sturm_inputs(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(D, E2, PIVMIN) of the zero-diagonal tridiagonal with off-diagonal
+    ``off``, by dstebz's rules (module notes), for ``_count_within``."""
+    e2 = off * off
+    e2[e2 < _TINY] = 0.0
+    return np.zeros(len(off) + 1), e2, _TINY * max(1.0, e2.max(initial=0.0))
+
+
+def _count_within(d: np.ndarray, e2: np.ndarray, pivmin: float, t: float) -> int:
+    """Eigenvalues in (-t, t] of the tridiagonal ``_sturm_inputs`` describes:
+    MOUT of DLAEBZ with IJOB = 1 on the one interval [-t, t], the Sturm
+    count at t minus the one at -t.  No bisection runs, so nothing can fail
+    to converge, and a nonzero INFO is a bug in this call.  Every pointer
+    gets a valid buffer, read or not; E, unread, shares E2's."""
+    if not (d.dtype == e2.dtype == np.float64 and d.flags.c_contiguous
+            and e2.flags.c_contiguous and len(e2) == len(d) - 1):
+        raise ValueError("dlaebz needs contiguous float64 D and E2, len(E2) = N - 1")
+    # ints: IJOB = 1, NITMAX, N, MMAX = MINP = 1, NBMIN, then NVAL, MOUT,
+    # NAB(1:2), IWORK, INFO; reals: ABSTOL, RELTOL, PIVMIN, AB(1:2), C, WORK
+    ints = (ctypes.c_int * 12)(1, 0, len(d), 1, 1, 0)
+    reals = (ctypes.c_double * 7)(0.0, 0.0, pivmin, -t, t)
+    i, r, e = ctypes.addressof(ints), ctypes.addressof(reals), e2.ctypes.data
+    _dlaebz(i, i + 4, i + 8, i + 12, i + 16, i + 20, r, r + 8, r + 16,
+            d.ctypes.data, e, e, i + 24, r + 24, r + 40, i + 28, i + 32,
+            r + 48, i + 40, i + 44)
+    if ints[11]:
+        raise RuntimeError(f"dlaebz rejected argument {-ints[11]}")
+    return ints[7]
 
 
 def _shifted_solve(bands: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
@@ -139,9 +183,11 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
     Eigenvalues of T come in ±sigma pairs plus |rows - cols| structural
     zeros, so the count of eigenvalues in (-t, t) is
     2 * #{sigma < t} + |rows - cols|.  The threshold is the fixed one of
-    the module notes.  A count is one count-only dstebz query on T at
+    the module notes.  A count is one DLAEBZ Sturm query on T at
     GAP_RATIO * tau, plus one at tau only when the first finds more than
-    the structural zeros (module notes); no eigenvalue is computed.
+    the structural zeros (module notes); no eigenvalue is computed.  E2 and
+    PIVMIN are derived once per system.  A NaN or inf in ``diag``,
+    ``upper`` or the border values raises ValueError before any query.
 
     ``unknowns`` is the column count of the system whose null space is
     wanted; pass the original one when the matrix handed in is a transpose
@@ -155,19 +201,25 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
         raise ValueError("bidiagonal route expects cols in {rows, rows+1}")
     if len(diag) != min(rows, cols) or len(upper) != min(rows, cols - 1):
         raise ValueError("inconsistent bidiagonal band lengths")
+    if border is not None and not np.isfinite(border[1]).all():
+        raise ValueError("non-finite entries in border")
     if unknowns is None:
         unknowns = cols
     scale = np.hypot(diag, np.concatenate([upper, np.zeros(len(diag) - len(upper))]))
+    if not np.isfinite(scale).all():  # as is any NaN or inf in diag or upper
+        for name, values in (("diag", diag), ("upper", upper)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite entries in {name}")
     scale[scale == 0.0] = 1.0
     diag = diag / scale
     upper = upper / scale[: len(upper)]
 
     off = _interleaved_offdiagonal(diag, upper, rows, cols)
     size = rows + cols
-    zeros = np.zeros(size)
+    sturm = _sturm_inputs(off)
 
     def _count(t: float) -> int:
-        count = _count_within(zeros, off, t)
+        count = _count_within(*sturm, t)
         if border is not None:
             s = -t - vals @ _shifted_solve(bands, w, t)[idx]
             count += 1 if s < 0.0 else -1
@@ -182,7 +234,8 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
         vals = border[1] / np.linalg.norm(border[1])
         w = np.zeros(size)
         w[idx] = vals
-        bands = np.array([np.r_[0.0, off], np.zeros(size), np.r_[off, 0.0]])
+        bands = np.zeros((3, size))
+        bands[0, 1:] = bands[2, :-1] = off
         rows += 1
 
     threshold = _threshold(scale_dim)

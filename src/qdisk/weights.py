@@ -143,18 +143,20 @@ class WeightPair:
         return dict(self.descriptor)
 
 
-def _validate_b(w: WeightPair, k_hi: int) -> None:
-    ks = np.arange(k_hi + 1)
-    b = w.b_at(ks)
-    a = w.a_at(ks)
-    if not np.all(a > 0):
-        raise ValueError("A(k) must be positive")
-    if not np.all(b > 0):
-        raise ValueError("B(k) must be positive")
-    if not np.all(np.diff(b) > 0):
-        raise ValueError("B(k) must be strictly increasing")
-    if not np.all(b < 1):
-        raise ValueError("B(k) must stay below 1")
+def _validate_weights(a: np.ndarray, b: np.ndarray) -> None:
+    """ValueError naming the first k, of a[k] = A(k) and b[k] = B(k), at
+    which A is not finite and positive, B leaves (0, 1) or B stops
+    increasing strictly.  The first test passes exactly when all do: B
+    increasing from B(0) > 0 to a last value below 1 stays in (0, 1)."""
+    if (a.min() > 0 and a.max() < np.inf and b[0] > 0 and b[-1] < 1
+            and (np.diff(b) > 0).all()):
+        return
+    failures = {"A(k) must be finite and positive": ~(np.isfinite(a) & (a > 0)),
+                "B(k) must be positive and stay below 1": ~((b > 0) & (b < 1)),
+                "B(k) must be strictly increasing": np.r_[False, ~(np.diff(b) > 0)]}
+    k, rule = min((int(np.argmax(bad)), rule) for rule, bad in failures.items()
+                  if bad.any())
+    raise ValueError(f"{rule}; it fails first at k={k}")
 
 
 def quantum_disk_weights(mu: float, scale: float = 2.0) -> WeightPair:
@@ -201,7 +203,7 @@ def table_weights(a_values: Sequence[float], b_values: Sequence[float],
                                "A": a_arr.tolist(), "B": b_arr.tolist()},
                    k_table_max=k_hi)
     if validate:
-        _validate_b(w, k_hi)
+        _validate_weights(a_arr, b_arr)
     return w
 
 
@@ -209,7 +211,8 @@ def custom_weights(a_fn: Callable, b_fn: Callable, validate: bool = True) -> Wei
     """Weight pair from vectorized closures, probed for the B constraints."""
     w = WeightPair(a_fn, b_fn, descriptor={"kind": "custom"})
     if validate:
-        _validate_b(w, _VALIDATION_PROBE)
+        ks = np.arange(_VALIDATION_PROBE + 1)
+        _validate_weights(w.a_at(ks), w.b_at(ks))
     return w
 
 

@@ -5,13 +5,15 @@ picture of an element (``to_matrix``, the oracle for every algebraic
 identity) and the dense quantum-disk structure check built on it, the trace
 route of the Hilbert pairing, which builds two dense (K+1) x (K+1) matrices,
 the dense matrix of an APS mode system, which exists only to be counted
-by SVD against the structured null count, and the two-query structured
-count that the gap-first count must equal field for field.
+by SVD against the structured null count, the dstebz Sturm count that the
+production DLAEBZ count must equal, and the two-query structured count on
+top of it that the gap-first count must equal field for field.
 """
 
 import warnings
 
 import numpy as np
+from scipy.linalg.lapack import dstebz
 
 from qdisk import (TruncationWarning, adjoint, apply_D, apply_Dbar, power_UB,
                    quantum_disk_weights)
@@ -132,11 +134,22 @@ def mode_matrix(w, a: int, k_max: int, window: int,
     return mat
 
 
+def count_within_dstebz(zeros, off, t):
+    """Eigenvalues in (-t, t] of the tridiagonal with diagonal ``zeros``
+    (all zero) and off-diagonal ``off``: dstebz with range "V" (1), the
+    values in (vl, vu].  A bisection tolerance wider than the interval
+    makes it return after the two endpoint Sturm counts."""
+    count, _, _, _, info = dstebz(zeros, off, 1, -t, t, 0, 0, 4.0 * t, "E")
+    if info:
+        raise RuntimeError(f"dstebz returned info={info} at t={t:.3e}")
+    return count
+
+
 def count_null_two_queries(diag, upper, rows, cols, scale_dim,
                            unknowns=None, border=None):
-    """``count_null_bidiagonal`` as two Sturm queries, at tau and then at
-    GAP_RATIO * tau, followed by the band check and the parity check of
-    the count at tau."""
+    """``count_null_bidiagonal`` as two dstebz Sturm queries, at tau and
+    then at GAP_RATIO * tau, followed by the band check and the parity
+    check of the count at tau."""
     if unknowns is None:
         unknowns = cols
     scale = np.hypot(diag, np.concatenate([upper, np.zeros(len(diag) - len(upper))]))
@@ -148,7 +161,7 @@ def count_null_two_queries(diag, upper, rows, cols, scale_dim,
     zeros = np.zeros(size)
 
     def count(t):
-        n = nullity._count_within(zeros, off, t)
+        n = count_within_dstebz(zeros, off, t)
         if border is None:
             return n
         s = -t - vals @ nullity._shifted_solve(bands, w, t)[idx]

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisk import (APSProjection, BoundaryFunction, IllConditionedError,
-                   apply_D, apply_Q, boundary_pairing, element, extend,
-                   index_analytic, index_numeric, norm_fourier, power_UB,
-                   project, random_element, restrict, solve_aps)
+                   apply_D, apply_Q, boundary_pairing, custom_weights,
+                   element, extend, index_analytic, index_numeric,
+                   norm_fourier, power_UB, project, random_element, restrict,
+                   solve_aps)
 
 
 class TestProjection:
@@ -80,6 +81,34 @@ class TestNumericIndex:
     def test_mode_range_validation(self, w2):
         with pytest.raises(ValueError, match="mode_range"):
             index_numeric(w2, APSProjection(3), 512, mode_range=(-2, 2))
+
+    def test_b_reaching_one_inside_the_sweep_range_raises(self):
+        """B(k) = 1 - 0.5 * 0.9^k passes the construction probe (k <= 256)
+        but stops increasing in double precision at k = 324 and reaches 1.0
+        at k = 349: a K = 512 sweep reads both, a K = 256 sweep neither."""
+        w = custom_weights(lambda k: 2.0 * (k + 1.0) ** 2,
+                           lambda k: 1.0 - 0.5 * 0.9 ** np.asarray(k, float))
+        assert index_numeric(w, APSProjection(0), 256).matches_analytic
+        with pytest.raises(ValueError,
+                           match="strictly increasing; it fails first at k=324"):
+            index_numeric(w, APSProjection(0), 512)
+
+    def test_infinite_a_inside_the_sweep_range_raises(self):
+        """B(k) = 1 - 0.5 / (k + 2)^4 with A = 1 / (B(k+1) - B(k)): the
+        difference underflows to 0 and A = inf from k = 1806 on, inside the
+        range a K = 4096 sweep reads."""
+        def b_fn(k):
+            return 1.0 - 0.5 / (np.asarray(k, float) + 2.0) ** 4
+
+        def a_fn(k):
+            with np.errstate(divide="ignore"):
+                return 1.0 / (b_fn(np.asarray(k) + 1) - b_fn(k))
+
+        w = custom_weights(a_fn, b_fn)
+        assert index_numeric(w, APSProjection(0), 512).matches_analytic
+        with pytest.raises(ValueError,
+                           match="finite and positive; it fails first at k=1806"):
+            index_numeric(w, APSProjection(0), 4096)
 
     def test_shared_cache_matches_fresh_cache(self, w2):
         """The cache holds one count per (a, constrained) system, shared by

@@ -8,16 +8,21 @@ by the [1, 2] bound on sigma_max of a row-equilibrated bordered bidiagonal;
 the tests check that bound on the oracle's singular values.  The count
 asks the gap query first and skips the query at the threshold when the
 gap query finds only the structural zeros; ``count_null_two_queries``,
-which always asks both, must give the same ``NullCount``.
+which always asks both through dstebz, must give the same ``NullCount``.
+Each query is one DLAEBZ Sturm count (``nullity._count_within``), checked
+against dstebz's count (``count_within_dstebz``) on every sweep system, on
+random tridiagonals with splits and underflowing squares, and on a split
+that a count without pivot guard (dlarrc) gets wrong.
 """
 
+import ctypes
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal, lapack, svdvals
+from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, svdvals
 
 from qdisk import (APSProjection, IllConditionedError, element,
                    apply_D, apply_Dbar, index_numeric, quantum_disk_weights)
@@ -26,7 +31,7 @@ from qdisk.aps import _mode_bands
 from qdisk.classical import _mode_nullity, index_classical
 from qdisk.cli import main
 from qdisk.nullity import count_null_bidiagonal, count_null_dense
-from oracles import count_null_two_queries, mode_matrix
+from oracles import count_null_two_queries, count_within_dstebz, mode_matrix
 
 
 def _top_sigma(matrix):
@@ -47,16 +52,37 @@ def _sweep_jobs(nmin=-6, nmax=6):
     return sorted(jobs)
 
 
-def _count_dstebz(monkeypatch):
-    """Wrap ``nullity.dstebz``; the returned list gets one entry per call."""
+def _count_queries(monkeypatch):
+    """Wrap ``nullity._count_within``; the returned list gets one entry per
+    Sturm query."""
     calls = []
+    within = nullity._count_within
 
     def counted(*args):
         calls.append(args)
-        return lapack.dstebz(*args)
+        return within(*args)
 
-    monkeypatch.setattr(nullity, "dstebz", counted)
+    monkeypatch.setattr(nullity, "_count_within", counted)
     return calls
+
+
+def _counted_offdiagonals(monkeypatch, run):
+    """Off-diagonal of every tridiagonal T that ``run()`` counts on."""
+    offs = []
+    sturm_inputs = nullity._sturm_inputs
+    with monkeypatch.context() as patch:
+        patch.setattr(nullity, "_sturm_inputs",
+                      lambda off: offs.append(off) or sturm_inputs(off))
+        run()
+    return offs
+
+
+def _assert_dlaebz_count_is_dstebz_count(off, scale_dim):
+    tau = nullity._threshold(scale_dim)
+    sturm = nullity._sturm_inputs(off)
+    for t in (tau, nullity.GAP_RATIO * tau):
+        assert nullity._count_within(*sturm, t) == count_within_dstebz(
+            np.zeros(len(off) + 1), off, t), (len(off), t)
 
 
 def _kahan_system(rows, ratio):
@@ -121,6 +147,44 @@ def test_count_equals_two_query_reference_on_the_classical_sweep(
     assert got == want
 
 
+@pytest.mark.parametrize("k_max", [128, 512, 4096])
+@pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
+def test_count_within_equals_dstebz_on_the_nc_sweep(k_max, mu, monkeypatch):
+    w = quantum_disk_weights(mu, 2.0)
+
+    def sweep():
+        for a, constrained in _sweep_jobs():
+            diag, upper, rows, cols, border = _mode_bands(
+                w, a, k_max, k_max // 16, constrained)
+            for sign in (1.0, -1.0):
+                count_null_bidiagonal(sign * diag, sign * upper, rows, cols,
+                                      k_max, border=border)
+
+    offs = _counted_offdiagonals(monkeypatch, sweep)
+    assert len(offs) == 2 * len(_sweep_jobs())
+    for off in offs:
+        _assert_dlaebz_count_is_dstebz_count(off, k_max)
+
+
+@pytest.mark.parametrize("grid", [257, 2048, 16384])
+def test_count_within_equals_dstebz_on_the_classical_sweep(grid, monkeypatch):
+    offs = _counted_offdiagonals(monkeypatch, lambda: [
+        _mode_nullity(a, constrained, grid) for a, constrained in _sweep_jobs()])
+    assert len(offs) == len(_sweep_jobs())
+    for off in offs:
+        _assert_dlaebz_count_is_dstebz_count(off, grid)
+
+
+def test_zero_pivot_at_a_split_is_guarded():
+    """T = diag(0) with off-diagonal [0.5, 0, 0.25] has eigenvalues ±0.5 and
+    ±0.25, three of them in (-0.5, 0.5].  The Sturm recurrence meets an
+    exact zero pivot at the split; without the PIVMIN guard (dlarrc) it
+    divides 0 by 0 and counts 1."""
+    off = np.array([0.5, 0.0, 0.25])
+    assert nullity._count_within(*nullity._sturm_inputs(off), 0.5) == 3
+    assert count_within_dstebz(np.zeros(4), off, 0.5) == 3
+
+
 @pytest.mark.parametrize("index", [
     partial(index_classical, m_points=16384),
     partial(index_numeric, quantum_disk_weights(0.7, 2.0), k_max=512),
@@ -128,7 +192,7 @@ def test_count_equals_two_query_reference_on_the_classical_sweep(
 def test_sweep_asks_one_query_per_system(monkeypatch, index):
     """Every system of both sweeps has no singular value below the gap
     threshold, so each of the 35 counts is the gap query alone."""
-    calls = _count_dstebz(monkeypatch)
+    calls = _count_queries(monkeypatch)
     cache = {}
     for n in range(-6, 7):
         assert index(p=APSProjection(n), cache=cache).index == n + 1
@@ -141,7 +205,7 @@ def test_singular_value_below_threshold_takes_both_queries(monkeypatch):
     diag, upper, sigmas = _kahan_system(rows, 2.0)
     assert np.sum(sigmas < 1.0) == 1
     assert not np.any((sigmas >= 1.0) & (sigmas < nullity.GAP_RATIO))
-    calls = _count_dstebz(monkeypatch)
+    calls = _count_queries(monkeypatch)
     got = count_null_bidiagonal(diag, upper, rows, rows, rows)
     assert (got.n_below, got.nullity, got.structural) == (1, 1, 0)
     assert len(calls) == 2
@@ -242,28 +306,36 @@ def test_row_equilibrated_sigma_max_lies_in_one_to_two(rows, wide, bordered,
 
 
 @settings(max_examples=300, deadline=None)
-@given(size=st.integers(2, 120), clustered=st.booleans(),
+@given(size=st.integers(2, 120),
+       family=st.sampled_from(["spread", "clustered", "split", "underflow"]),
        seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 10 ** 6),
        nudge=st.integers(-3, 3))
-def test_count_only_query_matches_full_count(size, clustered, seed, pick,
+def test_count_only_query_matches_full_count(size, family, seed, pick,
                                              nudge):
     """On zero-diagonal tridiagonals T, the count-only Sturm query equals
     the full-precision count, even with the threshold on or a few ulps off
     an eigenvalue of a cluster.  Clustered: every other off-diagonal entry
     is tiny, so T is close to 2 x 2 blocks whose eigenvalues cluster at ±c
-    within 1e-12."""
+    within 1e-12.  Split: about a third of the entries are exact zeros, so
+    the recurrence meets zero pivots.  Underflow: magnitudes span 1e-300 to
+    1, so many squares fall below the underflow threshold and become
+    splits."""
     rng = np.random.default_rng(seed)
-    if clustered:
+    if family == "clustered":
         off = rng.uniform(0.5, 1.0) * (1.0 + 1e-14 * rng.standard_normal(size - 1))
         off[1::2] = 1e-12 * rng.standard_normal(len(off[1::2]))
+    elif family == "underflow":
+        off = rng.choice([-1.0, 1.0], size - 1) * 10 ** rng.uniform(-300, 0, size - 1)
     else:
         off = rng.uniform(-1.0, 1.0, size - 1) * 10 ** rng.uniform(-8, 0, size - 1)
+        if family == "split":
+            off[rng.random(size - 1) < 1 / 3] = 0.0
     full = eigvalsh_tridiagonal(np.zeros(size), off)
     t = abs(full[pick % size]) * (1.0 + nudge * np.finfo(float).eps)
     assume(t > 0.0)
     want = len(eigvalsh_tridiagonal(np.zeros(size), off, select="v",
                                     select_range=(-t, t)))
-    assert nullity._count_within(np.zeros(size), off, t) == want
+    assert nullity._count_within(*nullity._sturm_inputs(off), t) == want
 
 
 def test_index_at_a_size_beyond_the_dense_route():
@@ -287,19 +359,6 @@ def test_singular_shifted_solve_is_ill_conditioned(monkeypatch, w2, capsys):
     assert "ill-conditioned" in capsys.readouterr().err
 
 
-def test_unconverged_sturm_count_is_ill_conditioned(monkeypatch, w2, capsys):
-    def unconverged(*args):
-        count, w, iblock, isplit, _ = lapack.dstebz(*args)
-        return count, w, iblock, isplit, 1
-
-    monkeypatch.setattr(nullity, "dstebz", unconverged)
-    with pytest.raises(IllConditionedError, match="did not converge"):
-        index_numeric(w2, APSProjection(0), 128)
-    assert main(["index-sweep", "--variant", "classical", "--grid", "257",
-                 "--nmin", "0", "--nmax", "0"]) == 3
-    assert "ill-conditioned" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("gap_shift, tau_shift", [
     (-2, 0),   # the gap query finds fewer than the structural zeros
     (1, 0),    # ... or the structural zeros plus an odd count
@@ -308,13 +367,13 @@ def test_unconverged_sturm_count_is_ill_conditioned(monkeypatch, w2, capsys):
 def test_count_inconsistent_with_structural_zeros_is_ill_conditioned(
         monkeypatch, capsys, gap_shift, tau_shift):
     tau = nullity._threshold(257)
+    within = nullity._count_within
 
     def shifted(*args):
-        count, w, iblock, isplit, info = lapack.dstebz(*args)
-        count += gap_shift if args[4] > 10.0 * tau else tau_shift
-        return count, w, iblock, isplit, info
+        t = args[-1]
+        return within(*args) + (gap_shift if t > 10.0 * tau else tau_shift)
 
-    monkeypatch.setattr(nullity, "dstebz", shifted)
+    monkeypatch.setattr(nullity, "_count_within", shifted)
     assert main(["index-sweep", "--variant", "classical", "--grid", "257",
                  "--nmin", "0", "--nmax", "0"]) == 3
     err = capsys.readouterr().err
@@ -322,11 +381,37 @@ def test_count_inconsistent_with_structural_zeros_is_ill_conditioned(
 
 
 def test_rejected_sturm_argument_is_an_internal_error(monkeypatch):
-    """A negative dstebz info is a bug in the call, not a usage error or
-    ill-conditioning: it propagates out of ``main`` instead of exiting 2."""
-    monkeypatch.setattr(nullity, "dstebz",
-                        lambda *args: (0, None, None, None, -3))
+    """A negative DLAEBZ info is a bug in the call, not a usage error or
+    ill-conditioning: it propagates out of ``main`` instead of exiting 2.
+    The stand-in for DLAEBZ is called through the same C prototype and
+    writes INFO = -3 through its last pointer."""
+    @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)
+    def rejecting(*pointers):
+        ctypes.c_int.from_address(pointers[-1]).value = -3
+
+    monkeypatch.setattr(nullity, "_dlaebz", rejecting)
     with pytest.raises(RuntimeError, match="argument 3") as caught:
         main(["index-sweep", "--variant", "classical", "--grid", "257",
               "--nmin", "0", "--nmax", "0"])
     assert not isinstance(caught.value, IllConditionedError)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dlarrc"])
+def test_capsule_with_another_signature_is_an_import_error(routine):
+    with pytest.raises(ImportError, match="unexpected signature"):
+        nullity._bind(cython_lapack.__pyx_capi__[routine])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["diag", "upper", "border"])
+def test_non_finite_input_is_a_value_error_before_any_query(monkeypatch,
+                                                            name, bad):
+    rows = 8
+    arrays = {"diag": np.ones(rows), "upper": np.full(rows, 0.5),
+              "border": np.full(3, 0.5)}
+    arrays[name][1] = bad
+    calls = _count_queries(monkeypatch)
+    with pytest.raises(ValueError, match=f"non-finite entries in {name}"):
+        count_null_bidiagonal(arrays["diag"], arrays["upper"], rows, rows + 1,
+                              rows, border=(np.arange(3), arrays["border"]))
+    assert not calls

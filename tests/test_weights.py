@@ -184,6 +184,11 @@ class TestTableAndCustomWeights:
         with pytest.raises(ValueError, match="below 1"):
             table_weights([1.0, 2.0, 3.0], [0.5, 0.9, 1.1])
 
+    def test_infinite_a_rejected_at_the_first_bad_k(self):
+        with pytest.raises(ValueError,
+                           match="finite and positive; it fails first at k=1"):
+            table_weights([1.0, np.inf, 3.0], [0.5, 0.6, 0.7])
+
     def test_evaluation_beyond_table_raises(self):
         w = table_weights([1.0, 2.0], [0.3, 0.6])
         with pytest.raises(ValueError, match="table ends"):
