@@ -45,6 +45,8 @@ __all__ = [
     "solve_aps",
 ]
 
+OBSTRUCTION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class APSProjection:
@@ -104,14 +106,9 @@ def _mode_bands(w: WeightPair, a: int, k_max: int, window: int,
     return diag, upper, rows, k_max + 1, border
 
 
-def _mode_range(p: APSProjection, mode_range: tuple[int, int] | None
-                ) -> tuple[int, int]:
-    """``mode_range``, by default [-|N| - 4, |N| + 4], which it must cover."""
-    reach = abs(p.cutoff) + 4
-    lo, hi = mode_range = (-reach, reach) if mode_range is None else mode_range
-    if lo > -reach or hi < reach:
-        raise ValueError(f"mode_range must cover [{-reach}, {reach}]")
-    return mode_range
+def _reach(p: APSProjection) -> int:
+    """Largest |mode| of the sweep, which runs over modes -reach..reach."""
+    return abs(p.cutoff) + 4
 
 
 @dataclass
@@ -121,27 +118,24 @@ class NumericIndex:
     index: int
     analytic: IndexCounts
     matches_analytic: bool
-    mode_range: tuple[int, int]
     per_mode: list[dict] = field(default_factory=list)
 
 
-def _sweep(p: APSProjection, mode_range: tuple[int, int] | None,
-           cache: dict | None,
+def _sweep(p: APSProjection, cache: dict | None,
            count: Callable[[int, bool], NullCount]) -> NumericIndex:
     """Index from per-mode null counts, shared by ``index_numeric`` and
-    ``classical.index_classical``.
+    ``classical.index_classical``, over modes -|N|-4..|N|+4.
 
     Mode m enters the kernel as system a = m, constrained iff m > cutoff,
     and the cokernel as system a = -m, constrained iff m <= cutoff + 1.
     ``cache`` maps (a, constrained) to ``count(a, constrained)``, one entry
     per distinct system; ``per_mode`` lists every (side, mode).
     """
-    n = p.cutoff
-    lo, hi = mode_range = _mode_range(p, mode_range)
+    n, reach = p.cutoff, _reach(p)
     cache = {} if cache is None else cache
     per_mode = []
     dims = {"ker": 0, "coker": 0}
-    for m in range(lo, hi + 1):
+    for m in range(-reach, reach + 1):
         for side, a, constrained in (("ker", m, m > n),
                                      ("coker", -m, m <= n + 1)):
             if (a, constrained) not in cache:
@@ -152,12 +146,10 @@ def _sweep(p: APSProjection, mode_range: tuple[int, int] | None,
             dims[side] += res.nullity
     analytic = index_analytic(p)
     counts = (dims["ker"], dims["coker"], dims["ker"] - dims["coker"])
-    return NumericIndex(*counts, analytic, counts == tuple(analytic),
-                        mode_range, per_mode)
+    return NumericIndex(*counts, analytic, counts == tuple(analytic), per_mode)
 
 
 def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
-                  mode_range: tuple[int, int] | None = None,
                   cache: dict | None = None) -> NumericIndex:
     """Independent index computation via truncated per-mode linear systems.
 
@@ -175,8 +167,7 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
         raise IllConditionedError(
             f"k_max={k_max} is too small for the boundary window/gap "
             f"criterion (needs k_max >= 128)")
-    lo, hi = _mode_range(p, mode_range)
-    k_hi = k_max + max(-lo, hi) + 1
+    k_hi = k_max + _reach(p) + 1
     a_tab, b_tab, _ = _table(w, k_max, k_hi)  # b_tab[k + 1] = B(k)
     _validate_weights(a_tab[: k_hi + 1], b_tab[1: k_hi + 2])
 
@@ -184,7 +175,7 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
         *bands, border = _mode_bands(w, a, k_max, window, constrained)
         return count_null_bidiagonal(*bands, k_max, border=border)
 
-    return _sweep(p, mode_range, cache, count)
+    return _sweep(p, cache, count)
 
 
 @dataclass
@@ -203,22 +194,21 @@ class APSSolution:
     solvable: bool
 
 
-def solve_aps(b: ToeplitzElement, w: WeightPair, p: APSProjection,
-              obstruction_tol: float = 1e-8) -> APSSolution:
+def solve_aps(b: ToeplitzElement, w: WeightPair, p: APSProjection) -> APSSolution:
     """Solve D a = b with r(a) in Ran P_N, when possible.
 
     Qb already has vanishing boundary values on all modes >= 0, so the
     minimal-norm kernel adjustment is zero and the only possible
     obstruction lives in the negative modes cutoff < m < 0, whose boundary
-    values are convergent series in b (the cokernel pairing).  A nonzero
-    obstruction is returned, not raised.
+    values are convergent series in b (the cokernel pairing).  Those above
+    OBSTRUCTION_TOL in modulus are the obstruction, returned, not raised.
     """
     n = p.cutoff
     a = apply_Q(b, w)
     coeffs = np.zeros(max(n + 1, 0), dtype=complex)
     obstruction = {mode: value
                    for mode, value in _forced_boundary_values(b, w).items()
-                   if mode > n and abs(value) > obstruction_tol}
+                   if mode > n and abs(value) > OBSTRUCTION_TOL}
     if obstruction:
         return APSSolution(None, BoundaryFunction(obstruction), coeffs, False)
     return APSSolution(a, None, coeffs, True)

@@ -67,14 +67,6 @@ class RadialModeFunction:
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr)
 
-    @property
-    def m_points(self) -> int:
-        return len(self.samples)
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.m_points - 1)
-
 
 def _radial_apply(samples: np.ndarray, mode: int, weight: ClassicalWeight,
                   sign: float) -> np.ndarray:
@@ -173,14 +165,9 @@ def _mode_nullity(a: int, constrained: bool, m_points: int):
     on_left, on_right = _chain_rows(float(a), m_points)
     if a >= 0:
         # upper bidiagonal: chain rows, then optional boundary row [.. 0 1]
-        diag = on_left
-        upper = on_right
-        rows = m_points - 1
-        if constrained:
-            diag = np.concatenate([diag, [1.0]])
-            rows += 1
-        return count_null_bidiagonal(diag, upper, rows, m_points, m_points,
-                                     unknowns=m_points)
+        diag = np.concatenate([on_left, [1.0] if constrained else []])
+        return count_null_bidiagonal(diag, on_right, m_points - 1 + constrained,
+                                     m_points, m_points)
     # regularity row first, then the chain (lower bidiagonal); transpose
     low = np.concatenate([on_left, [1.0] if constrained else []])
     diag_t = np.concatenate([[1.0], on_right])
@@ -191,7 +178,6 @@ def _mode_nullity(a: int, constrained: bool, m_points: int):
 
 
 def index_classical(p: APSProjection, m_points: int = 2048,
-                    mode_range: tuple[int, int] | None = None,
                     cache: dict | None = None) -> NumericIndex:
     """Index of the boundary-conditioned flat-disk operator by Sturm
     counting (``count_null_bidiagonal``).
@@ -203,5 +189,5 @@ def index_classical(p: APSProjection, m_points: int = 2048,
     mode.  ``cache`` maps (a, constrained) to its null count, one entry per
     distinct system; ``per_mode`` still lists every (side, mode).
     """
-    return _sweep(p, mode_range, cache,
+    return _sweep(p, cache,
                   lambda a, constrained: _mode_nullity(a, constrained, m_points))

@@ -4,10 +4,11 @@ Subcommands run the library's verification suites and emit JSON/CSV
 reports.  Exit codes: 0 all checks pass, 1 a check failed (or an internal
 error: a ValueError raised past the argument checks), 2 usage error,
 3 numerical conditioning failure.  Usage errors are argparse's and the
-argument checks' own: --mu outside (0, 1] or --scale <= 0, --trials below 1
-or --kmax below 2 for the suites, --kmax below 16 for verify-weights,
---nmin above --nmax or --grid below 2 for index-sweep.  Given a fixed
---seed, reports are byte-for-byte reproducible (no timestamps).
+argument checks' own: --mu outside (0, 1], --scale or --tol not finite and
+positive (NaN included), --trials below 1 or --kmax below 2 for the suites,
+--kmax below 16 for verify-weights, --nmin above --nmax or --grid below 2
+for index-sweep.  Given a fixed --seed, reports are byte-for-byte
+reproducible (no timestamps).
 
 The parametrix residual grows with K: the worst residuals measured were
 1.6e-11, 6.0e-11, 1.6e-10 and 4.8e-10 at K = 4096, 8192, 16384 and 32768,
@@ -61,8 +62,9 @@ def _write_report(report: Report, path: str | None) -> int:
 
 
 def cmd_verify_weights(args: argparse.Namespace) -> int:
-    if args.kmax < 16:
-        raise UsageError(f"need --kmax >= 16, got {args.kmax}")
+    if args.kmax < 16 or not 0.0 < args.tol < np.inf:  # NaN is not > 0
+        raise UsageError(f"need --kmax >= 16 and a finite --tol > 0, "
+                         f"got {args.kmax} and {args.tol}")
     w = _weights(args.mu, args.scale)
     return _write_report(check_conditions(w, args.kmax, tol=args.tol), args.json)
 
@@ -112,9 +114,9 @@ def _suite(args: argparse.Namespace, title: str, check: str, claim: str,
     residual, or the first NaN; its elements are serialised only when the
     report fails.
     """
-    if args.trials < 1 or args.kmax < 2:
-        raise UsageError(f"need --trials >= 1 and --kmax >= 2, "
-                         f"got {args.trials} and {args.kmax}")
+    if args.trials < 1 or args.kmax < 2 or not 0.0 < args.tol < np.inf:
+        raise UsageError(f"need --trials >= 1, --kmax >= 2 and a finite "
+                         f"--tol > 0, got {args.trials}, {args.kmax} and {args.tol}")
     w = _weights(args.mu, args.scale)
     rng = np.random.default_rng(args.seed)
     worst, worst_trial, worst_inputs = -1.0, None, {}

@@ -204,29 +204,6 @@ class BoundaryFunction:
     def coeff(self, m: int) -> complex:
         return self.modes.get(m, 0.0 + 0.0j)
 
-    def conjugate(self) -> "BoundaryFunction":
-        return BoundaryFunction({-m: np.conj(c) for m, c in self.modes.items()})
-
-    def derivative(self) -> "BoundaryFunction":
-        """Angular derivative: mode m picks up the factor i*m."""
-        return BoundaryFunction({m: 1j * m * c for m, c in self.modes.items()
-                                 if m != 0})
-
-    def __add__(self, other: "BoundaryFunction") -> "BoundaryFunction":
-        out = dict(self.modes)
-        for m, c in other.modes.items():
-            out[m] = out.get(m, 0.0) + c
-        return BoundaryFunction(out)
-
-    def __sub__(self, other: "BoundaryFunction") -> "BoundaryFunction":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "BoundaryFunction":
-        s = complex(scalar)
-        return BoundaryFunction({m: c * s for m, c in self.modes.items()})
-
-    __rmul__ = __mul__
-
     def to_json_dict(self) -> dict:
         return {"modes": [{"m": m, "re": complex(c).real, "im": complex(c).imag}
                           for m, c in sorted(self.modes.items())]}

@@ -131,7 +131,7 @@ def _ibp_tail(x: ToeplitzElement, w: WeightPair, shift: int,
 
 
 def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
-                                  w: WeightPair, tail_window: int = 16) -> float:
+                                  w: WeightPair) -> float:
     """Residual |(Da,b) - (a,D̄b) + boundary term| of the adjoint identity.
 
     The two pairings are evaluated in Fourier form over k <= k_max plus the
@@ -142,7 +142,6 @@ def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
     """
     if a.k_max != b.k_max:
         raise ValueError("elements must share k_max")
-    k_max = a.k_max
     undeclared = [m for m in a.modes if a.tail(m) is None]
     undeclared += [m for m in b.modes if b.tail(m) is None]
     if undeclared:
@@ -152,7 +151,7 @@ def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
             TruncationWarning, stacklevel=2)
 
     # per-mode limits: declared tails where present, window means else
-    ra, rb = restrict(a, tail_window), restrict(b, tail_window)
+    ra, rb = restrict(a), restrict(b)
     da_b = inner_product_fourier(apply_D(a, w), b, w)
     da_b += _ibp_tail(a, w, +1, lambda m: np.conj(ra.coeff(m)) * rb.coeff(m + 1))
     a_dbarb = inner_product_fourier(a, apply_Dbar(b, w), w)

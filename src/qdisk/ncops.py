@@ -87,11 +87,12 @@ _Stencil = namedtuple("_Stencil", "s p sigma n q")
 
 def _stencil(shift: int, m) -> _Stencil:
     """Stencil table row of D (shift +1) or D̄ (shift -1) at input mode m;
-    for an array of modes, the rows broadcast over it."""
-    s = np.where(np.multiply(shift, m) >= 0, 1, -1)
+    for an array of modes, the rows broadcast over it.  Integer arithmetic
+    only, so a scalar mode costs no array."""
+    s = 1 - 2 * (shift * m < 0)
     sigma = shift * s
-    n = np.abs(m)
-    return _Stencil(s, np.where(sigma > 0, n + s, 0), sigma, n, np.minimum(s, 0))
+    n = abs(m)
+    return _Stencil(s, (sigma > 0) * (n + s), sigma, n, (s - 1) // 2)
 
 
 def _memo(w: WeightPair, k_max: int) -> dict:
@@ -224,8 +225,7 @@ def kernel_basis(w: WeightPair, which: Which, n_max: int,
 
 
 def boundary_operator_check(f: BoundaryFunction, w: WeightPair, k_max: int,
-                            which: Which = "D",
-                            tail_window: int | None = None) -> Report:
+                            which: Which = "D") -> Report:
     """Compare restrict(apply(extend(f))) with its exact boundary action.
 
     Mode m of f contributes +m * coeff at mode m+1 under D (m-1 under D̄),
@@ -233,11 +233,11 @@ def boundary_operator_check(f: BoundaryFunction, w: WeightPair, k_max: int,
     O(1/k) rate of the telescoped weight limits, so the reported per-mode
     errors shrink roughly like 1/k_max.  Weights whose normalized difference
     does not converge to 1 are flagged: the comparison would then be against
-    (limit) · f' instead.
+    (limit) · f' instead.  The restriction averages the last
+    max(8, k_max // 64) valid coefficients.
     """
     shift = _shift(which)
-    if tail_window is None:
-        tail_window = max(8, k_max // 64)
+    tail_window = max(8, k_max // 64)
     got = restrict(_apply(extend(f, k_max), w, shift), tail_window)
 
     expected = {m + shift: m * c for m, c in f.modes.items() if m != 0}

@@ -31,7 +31,8 @@ Two routes:
   because squaring would lose the small singular values.  The border
   changes the inertia of H - tI, H the Golub-Kahan matrix of the bordered
   system, by the sign of the Schur complement s(t) = -t - w^T (T - tI)^{-1} w
-  (Haynsworth), one banded solve per query.  Dot products with w run over
+  (Haynsworth), one tridiagonal solve per query (LAPACK dgtsv, Gaussian
+  elimination with partial pivoting).  Dot products with w run over
   its support only.  The gap query, at GAP_RATIO * tau, comes first: the
   structural zeros are exact eigenvalues of any zero-diagonal T and the
   counts are monotone, so structural <= count(tau) <= count(GAP_RATIO *
@@ -46,7 +47,8 @@ import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack, solve_banded, svdvals
+from scipy.linalg import cython_lapack, svdvals
+from scipy.linalg.lapack import dgtsv
 
 from .report import IllConditionedError
 
@@ -162,14 +164,16 @@ def _count_within(d: np.ndarray, e2: np.ndarray, pivmin: float, t: float) -> int
     return ints[7]
 
 
-def _shifted_solve(bands: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
-    """(T - tI)^{-1} rhs for the zero-diagonal tridiagonal T held in ``bands``."""
-    bands[1] = -t
-    try:
-        return solve_banded((1, 1), bands, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+def _shifted_solve(off: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
+    """(T - tI)^{-1} rhs, T zero-diagonal with off-diagonal ``off``, by dgtsv:
+    INFO > 0 is an exactly singular T - tI, INFO < 0 a bug in this call."""
+    *_, x, info = dgtsv(off, np.full(len(rhs), -t), off, rhs)
+    if info > 0:
         raise IllConditionedError(
-            f"shifted Golub-Kahan matrix is singular at t={t:.3e}") from exc
+            f"shifted Golub-Kahan matrix is singular at t={t:.3e}")
+    if info < 0:
+        raise RuntimeError(f"dgtsv rejected argument {-info}")
+    return x
 
 
 def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
@@ -221,7 +225,7 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
     def _count(t: float) -> int:
         count = _count_within(*sturm, t)
         if border is not None:
-            s = -t - vals @ _shifted_solve(bands, w, t)[idx]
+            s = -t - vals @ _shifted_solve(off, w, t)[idx]
             count += 1 if s < 0.0 else -1
         if count < structural or (count - structural) % 2:
             raise IllConditionedError(
@@ -234,8 +238,6 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
         vals = border[1] / np.linalg.norm(border[1])
         w = np.zeros(size)
         w[idx] = vals
-        bands = np.zeros((3, size))
-        bands[0, 1:] = bands[2, :-1] = off
         rows += 1
 
     threshold = _threshold(scale_dim)

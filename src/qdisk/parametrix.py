@@ -13,8 +13,8 @@ that makes the APS machinery work.  Both closed forms are
 summed over j <= k for s = -1 and j >= k for s = +1.  All B-products are
 exp of differences of cumulative log sums, so deep products cannot
 underflow.  The j >= k sums truncate at k_max; when the input still has mass
-there, the neglected tail is bounded by max|coeff| * sum_{j>k_max} 1/A(j)
-and reported through a TruncationWarning.
+above TAIL_TOL there, the neglected tail is bounded by max|coeff| *
+sum_{j>k_max} 1/A(j) and reported through a TruncationWarning.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ __all__ = [
     "BoundaryDecomposition",
 ]
 
+TAIL_TOL = 1e-9
+MATCH_WINDOW = 16
 
-def _tail_warning(b: ToeplitzElement, w: WeightPair, up: np.ndarray,
-                  tail_tol: float) -> None:
+
+def _tail_warning(b: ToeplitzElement, w: WeightPair, up: np.ndarray) -> None:
     """Bound the neglected j > k_max tail of the forward sums (rows ``up``)."""
     edge = np.abs(b.coeffs[:, -1])
     edge = np.where(b.declared, np.maximum(edge, np.abs(b.tail_values)), edge)
     worst = float(np.max(edge[up & b.present], initial=0.0))
-    if worst > tail_tol:
+    if worst > TAIL_TOL:
         bound = worst * w.inv_a_tail(b.k_max)
         warnings.warn(
             f"input has coefficients of size {worst:.3e} at the truncation "
@@ -61,8 +63,7 @@ def _summands(b: ToeplitzElement, w: WeightPair, shift: int):
     return up, exp_h * b.coeffs * inv_amp
 
 
-def _solve(b: ToeplitzElement, w: WeightPair, shift: int,
-           tail_tol: float) -> ToeplitzElement:
+def _solve(b: ToeplitzElement, w: WeightPair, shift: int) -> ToeplitzElement:
     """Closed-form x with D x = b (shift +1) or D̄ x = b (shift -1)."""
     up, terms = _summands(b, w, shift)  # up: j >= k sums
     exp_g, = _rows(w, b.k_max, shift, b.mode_lo - shift, b.mode_hi - shift,
@@ -70,7 +71,7 @@ def _solve(b: ToeplitzElement, w: WeightPair, shift: int,
     total = np.empty_like(terms)
     total[~up] = np.cumsum(terms[~up], axis=1)
     total[up] = np.cumsum(terms[up, ::-1], axis=1)[:, ::-1]
-    _tail_warning(b, w, up, tail_tol)
+    _tail_warning(b, w, up)
     return ToeplitzElement(b.k_max, b.mode_lo - shift, exp_g * total,
                            b.present, tail_start=b.tail_start, k_valid=b.k_valid)
 
@@ -84,21 +85,21 @@ def _forced_boundary_values(b: ToeplitzElement, w: WeightPair) -> dict[int, comp
     return dict(zip(modes, np.sum(terms[forced], axis=1).tolist()))
 
 
-def apply_Q(b: ToeplitzElement, w: WeightPair, tail_tol: float = 1e-9) -> ToeplitzElement:
+def apply_Q(b: ToeplitzElement, w: WeightPair) -> ToeplitzElement:
     """Right inverse of D: D(Qb) = b on the interior, modes shifted down by 1.
 
     The g-side output is the unique solution with vanishing boundary value.
     """
-    return _solve(b, w, +1, tail_tol)
+    return _solve(b, w, +1)
 
 
-def apply_Qbar(b: ToeplitzElement, w: WeightPair, tail_tol: float = 1e-9) -> ToeplitzElement:
+def apply_Qbar(b: ToeplitzElement, w: WeightPair) -> ToeplitzElement:
     """Right inverse of D̄: D̄(Q̄b) = b on the interior, modes shifted up by 1.
 
     It satisfies the conjugation identity
     D̄(a) = b  <=>  D(a*) = -A(K) b* A(K)^{-1}.
     """
-    return _solve(b, w, -1, tail_tol)
+    return _solve(b, w, -1)
 
 
 def _norm_bound(norm_qb: float, norm_b: float, w: WeightPair,
@@ -155,13 +156,12 @@ def _truncate_to_valid(b: ToeplitzElement) -> ToeplitzElement:
 
 
 def boundary_value_decomposition(a: ToeplitzElement, w: WeightPair,
-                                 tol: float = 1e-8,
-                                 window: int = 16) -> BoundaryDecomposition:
+                                 tol: float = 1e-8) -> BoundaryDecomposition:
     """Split a into Qb + kernel part and read off its boundary values.
 
     b = Da (masked to its validity bound); the kernel coefficients c_n are
     extracted by ratio-matching a - Qb against the generators (U B(K))^n on
-    the largest-k window of the valid range — there Qb's g side has died
+    the last MATCH_WINDOW k of the valid range — there Qb's g side has died
     out, so the ratio is constant and the match is exact, even where the
     generator itself is still O(1/k) away from its limit.  The boundary
     value at a mode m < 0 is the full j-sum of Q's forced closed form (the
@@ -179,7 +179,7 @@ def boundary_value_decomposition(a: ToeplitzElement, w: WeightPair,
     recon = None
     for n in range(n_top + 1):
         gen = power_UB(w, n, a.k_max)
-        lo = max(hi - window + 1, 0)
+        lo = max(hi - MATCH_WINDOW + 1, 0)
         sel = np.arange(lo, hi + 1)
         if len(sel) == 0:
             raise DecompositionError(

@@ -45,6 +45,7 @@ __all__ = [
 
 # Probe range used to validate monotonicity/positivity at construction.
 _VALIDATION_PROBE = 256
+COND3_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,8 @@ def quantum_disk_weights(mu: float, scale: float = 2.0) -> WeightPair:
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must lie in (0, 1], got {mu}")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < np.inf:  # also rejects NaN
+        raise ValueError(f"scale must be finite and positive, got {scale}")
 
     def a_fn(k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -254,24 +255,19 @@ def constant_classical_weight() -> ClassicalWeight:
     return ClassicalWeight(lambda rho: np.full_like(np.asarray(rho, dtype=float), 2.0))
 
 
-def _geometric_samples(k_max: int, per_decade: int = 8) -> np.ndarray:
-    n = max(2, int(per_decade * math.log10(max(k_max, 2))) + 1)
-    ks = np.unique(np.geomspace(1, k_max, n).astype(int))
-    return ks
-
-
-def check_conditions(w: WeightPair, k_max: int, tol: float = 1e-3,
-                     cond3_tol: float = 0.05) -> Report:
+def check_conditions(w: WeightPair, k_max: int, tol: float = 1e-3) -> Report:
     """Diagnose all three weight conditions over k <= k_max.
 
     Failures are recorded in the report, never raised; this is the one entry
     point that accepts non-validated pairs.  tol bounds the last-decade
-    increment of the partial sums of 1/A (the truncation-level Cauchy check);
-    cond3_tol bounds the distance of A(k)(B(k+1)-B(k)) from 1 at the largest
-    sampled k.
+    increment of the partial sums of 1/A (the truncation-level Cauchy check)
+    and must be finite and positive; COND3_TOL bounds the distance of
+    A(k)(B(k+1)-B(k)) from 1 at the largest sampled k.
     """
     if k_max < 16:
         raise ValueError("k_max must be at least 16")
+    if not 0.0 < tol < np.inf:  # also rejects NaN
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     report = Report("weight-conditions")
     ks = np.arange(k_max + 1)
     a = w.a_at(ks)
@@ -316,7 +312,9 @@ def check_conditions(w: WeightPair, k_max: int, tol: float = 1e-3,
         passed=increasing and below_one and positive,
     ))
 
-    samples = _geometric_samples(k_max)
+    # about 8 geometrically spaced k per decade of 1..k_max
+    n_samples = max(2, int(8 * math.log10(max(k_max, 2))) + 1)
+    samples = np.unique(np.geomspace(1, k_max, n_samples).astype(int))
     norm_diff = w.a_at(samples) * (w.b_at(samples + 1) - w.b_at(samples))
     a_ratio = w.a_at(samples + 1) / w.a_at(samples)
     dist = abs(float(norm_diff[-1]) - 1.0)
@@ -324,12 +322,12 @@ def check_conditions(w: WeightPair, k_max: int, tol: float = 1e-3,
     report.add(CheckResult(
         check="normalized-difference-limit",
         claim="boundary-normalization",
-        params={"k_max": k_max, "cond3_tol": cond3_tol},
+        params={"k_max": k_max, "cond3_tol": COND3_TOL},
         observed={"k": samples, "A_times_B_increment": norm_diff,
                   "A_ratio": a_ratio, "distance_to_one": dist,
                   "ratio_distance_to_one": ratio_dist},
-        expected={"limit": 1.0, "distance_below": cond3_tol},
-        passed=dist < cond3_tol and ratio_dist < cond3_tol,
+        expected={"limit": 1.0, "distance_below": COND3_TOL},
+        passed=dist < COND3_TOL and ratio_dist < COND3_TOL,
     ))
     return report
 

@@ -13,6 +13,7 @@ top of it that the gap-first count must equal field for field.
 import warnings
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dstebz
 
 from qdisk import (TruncationWarning, adjoint, apply_D, apply_Dbar, power_UB,
@@ -164,7 +165,8 @@ def count_null_two_queries(diag, upper, rows, cols, scale_dim,
         n = count_within_dstebz(zeros, off, t)
         if border is None:
             return n
-        s = -t - vals @ nullity._shifted_solve(bands, w, t)[idx]
+        bands[1] = -t
+        s = -t - vals @ solve_banded((1, 1), bands, w, check_finite=False)[idx]
         return n + (1 if s < 0.0 else -1)
 
     if border is not None:

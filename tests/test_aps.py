@@ -78,10 +78,6 @@ class TestNumericIndex:
         with pytest.raises(IllConditionedError, match="window"):
             index_numeric(w2, APSProjection(0), 16)
 
-    def test_mode_range_validation(self, w2):
-        with pytest.raises(ValueError, match="mode_range"):
-            index_numeric(w2, APSProjection(3), 512, mode_range=(-2, 2))
-
     def test_b_reaching_one_inside_the_sweep_range_raises(self):
         """B(k) = 1 - 0.5 * 0.9^k passes the construction probe (k <= 256)
         but stops increasing in double precision at k = 324 and reaches 1.0
@@ -156,6 +152,18 @@ class TestSolve:
         sol = solve_aps(b, w2, APSProjection(-2))
         assert not sol.solvable
         assert set(sol.obstruction.modes) == {-1}
+
+    def test_obstruction_threshold(self, rng, w2):
+        """A boundary value above 1e-8 in modulus obstructs: the input of
+        the test above, scaled to an obstruction of 2e-8, is reported, and
+        scaled to 5e-9 it is solvable."""
+        b = random_element(rng, 512, -4, 4, k_support=200)
+        value = abs(solve_aps(b, w2, APSProjection(-2)).obstruction.coeff(-1))
+        for size, solvable in ((2e-8, False), (5e-9, True)):
+            sol = solve_aps((size / value) * b, w2, APSProjection(-2))
+            assert sol.solvable == solvable, size
+            if not solvable:
+                assert abs(sol.obstruction.coeff(-1)) == pytest.approx(size)
 
     def test_no_obstruction_at_cutoff_minus_one(self, rng, w2):
         """cutoff = -1: kernel and cokernel both vanish; always solvable."""

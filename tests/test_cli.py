@@ -39,6 +39,13 @@ class TestVerifyWeights:
     def test_out_of_range_mu_is_usage_error(self, capsys):
         assert run(["verify-weights", "--mu", "2.0"]) == 2
 
+    def test_params_record_cond3_tol(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["verify-weights", "--json", str(out)]) == 0
+        cond3 = [c for c in json.loads(out.read_text())["checks"]
+                 if c["check"] == "normalized-difference-limit"][0]
+        assert cond3["params"]["cond3_tol"] == 0.05
+
 
 class TestIndexSweep:
     def test_both_variants(self, tmp_path):
@@ -102,8 +109,8 @@ class TestParametrixCheck:
         shifts = []
         solve = parametrix._solve
         monkeypatch.setattr(parametrix, "_solve",
-                            lambda b, w, shift, tol: shifts.append(shift)
-                            or solve(b, w, shift, tol))
+                            lambda b, w, shift: shifts.append(shift)
+                            or solve(b, w, shift))
         assert run(["parametrix-check", "--trials", "5", "--kmax", "64",
                     "--json", str(tmp_path / "p.json")]) == 0
         assert shifts.count(+1) == 5
@@ -151,7 +158,7 @@ class TestIbpCheck:
     def test_worst_instance_replays_the_residual(self, tmp_path):
         out = tmp_path / "i.json"
         assert run(["ibp-check", "--trials", "4", "--seed", "3", "--kmax", "128",
-                    "--tol", "0", "--json", str(out)]) == 1
+                    "--tol", "1e-300", "--json", str(out)]) == 1
         report = json.loads(out.read_text())
         first = report["checks"][0]["observed"]
         worst = [c for c in report["checks"] if c["check"] == "worst-instance"][0]
@@ -196,11 +203,20 @@ class TestUsage:
         ["index-sweep", "--variant", "classical", "--mu", "0"],
         ["index-sweep", "--variant", "classical", "--scale", "0"],
         ["ibp-check", "--trials", "1", "--scale", "-1"],
+        ["index-sweep", "--scale", "nan"],
+        ["parametrix-check", "--trials", "1", "--scale", "nan"],
+        ["ibp-check", "--trials", "1", "--scale", "inf"],
         ["parametrix-check", "--trials", "1", "--mu", "1.5"],
         ["index-sweep", "--variant", "classical", "--grid", "0"],
         ["index-sweep", "--variant", "classical", "--grid", "1"],
         ["index-sweep", "--variant", "classical", "--grid", "-5"],
         ["verify-weights", "--kmax", "8"],
+        ["verify-weights", "--tol", "nan"],
+        ["verify-weights", "--tol=-1e-3"],
+        ["parametrix-check", "--trials", "1", "--tol", "0"],
+        ["parametrix-check", "--trials", "1", "--tol", "inf"],
+        ["ibp-check", "--trials", "1", "--tol=-1e-6"],
+        ["ibp-check", "--trials", "1", "--tol", "nan"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -212,20 +212,6 @@ class TestRestrictExtend:
             assert g.coeff(m) == f.coeff(m)
 
 
-class TestBoundaryFunction:
-    def test_conjugation_flips_modes(self):
-        f = BoundaryFunction({2: 1.0 + 2.0j, -1: 3.0 + 0.0j})
-        g = f.conjugate()
-        assert g.coeff(-2) == 1.0 - 2.0j
-        assert g.coeff(1) == 3.0 + 0.0j
-
-    def test_derivative(self):
-        f = BoundaryFunction({3: 2.0 + 0.0j, 0: 7.0 + 0.0j})
-        g = f.derivative()
-        assert g.coeff(3) == 6.0j
-        assert g.coeff(0) == 0.0
-
-
 class TestSerialization:
     def test_element_round_trip(self, rng):
         a = random_element(rng, 16, -3, 3, declared_tails=True, tail_start=8)

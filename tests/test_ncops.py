@@ -10,6 +10,7 @@ from qdisk import (BoundaryFunction, adjoint, apply_D, apply_Dbar, apply_Q,
                    norm_fourier, polar_split,
                    power_UB, quantum_disk_structure_check,
                    quantum_disk_weights, random_element, table_weights)
+from qdisk.ncops import _stencil
 from qdisk.parametrix import _norm_bound
 from qdisk.weights import WeightPair
 
@@ -233,6 +234,14 @@ class TestBoundaryOperator:
         assert rec.expected["coefficients"] == {"1": 2.0 + 0.0j}
         assert report.passed
 
+    @pytest.mark.parametrize("k_max, window", [(256, 8), (4096, 64)])
+    def test_tail_window_scales_with_truncation(self, w2, k_max, window):
+        """The restriction averages max(8, k_max // 64) coefficients."""
+        report = boundary_operator_check(BoundaryFunction({1: 1.0 + 0.0j}),
+                                         w2, k_max, "D")
+        params = report["boundary-derivative-recovery"].params
+        assert params["tail_window"] == window
+
     @pytest.mark.parametrize("which", ["dbar", "d", ""])
     def test_rejects_unknown_operator(self, w2, which):
         with pytest.raises(ValueError, match="which"):
@@ -419,3 +428,12 @@ class TestModeByModeReference:
             for y in elements:
                 assert (inner_product_fourier(x, y, w)
                         == oracles.mode_by_mode_pairing(x, y, w))
+
+    @pytest.mark.parametrize("shift", [+1, -1])
+    def test_scalar_stencil_is_the_row_of_the_array_call(self, shift):
+        ms = np.arange(-12, 13)
+        rows = _stencil(shift, ms)
+        for i, m in enumerate(ms.tolist()):
+            scalar = tuple(_stencil(shift, m))
+            assert scalar == tuple(field[i] for field in rows), m
+            assert scalar == oracles.stencil_row(shift, m), m

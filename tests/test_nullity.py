@@ -347,16 +347,34 @@ def test_index_at_a_size_beyond_the_dense_route():
         assert res.matches_analytic
 
 
-def test_singular_shifted_solve_is_ill_conditioned(monkeypatch, w2, capsys):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
+def _dgtsv_info(info):
+    """A dgtsv stand-in returning its inputs and the given INFO."""
+    return lambda dl, d, du, b: (dl, d, du, b, info)
 
-    monkeypatch.setattr(nullity, "solve_banded", singular)
+
+def test_singular_shifted_solve_is_ill_conditioned(monkeypatch, w2, capsys):
+    monkeypatch.setattr(nullity, "dgtsv", _dgtsv_info(3))
     with pytest.raises(IllConditionedError, match="singular"):
         index_numeric(w2, APSProjection(0), 128)
     assert main(["index-sweep", "--kmax", "128", "--nmin", "0",
                  "--nmax", "0"]) == 3
     assert "ill-conditioned" in capsys.readouterr().err
+
+
+def test_rejected_shifted_solve_argument_is_a_bug(monkeypatch, w2):
+    monkeypatch.setattr(nullity, "dgtsv", _dgtsv_info(-4))
+    with pytest.raises(RuntimeError, match="dgtsv rejected argument 4") as exc:
+        index_numeric(w2, APSProjection(0), 128)
+    assert not isinstance(exc.value, IllConditionedError)
+
+
+def test_shifted_solve_solves_the_shifted_system(rng):
+    off = rng.standard_normal(40)
+    rhs = rng.standard_normal(41)
+    t = 0.3
+    dense = np.diag(off, 1) + np.diag(off, -1) - t * np.eye(41)
+    np.testing.assert_allclose(dense @ nullity._shifted_solve(off, rhs, t),
+                               rhs, atol=1e-10)
 
 
 @pytest.mark.parametrize("gap_shift, tau_shift", [

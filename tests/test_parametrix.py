@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,19 @@ class TestRightInverse:
         b = from_mode(2, np.ones(K + 1), K)
         with pytest.warns(TruncationWarning, match="bounded by"):
             apply_Q(b, w2)
+
+    @pytest.mark.parametrize("apply, mode", [(apply_Q, 2), (apply_Qbar, -2)])
+    def test_tail_warning_threshold(self, w2, apply, mode):
+        """The edge mass of a mode whose sum runs forward warns above 1e-9:
+        at 2e-9, not at 5e-10."""
+        for edge, warns in ((2e-9, True), (5e-10, False)):
+            coeffs = np.zeros(K + 1)
+            coeffs[-1] = edge
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                apply(from_mode(mode, coeffs, K), w2)
+            assert any(issubclass(c.category, TruncationWarning)
+                       for c in caught) == warns, edge
 
 
 class TestNormBound:

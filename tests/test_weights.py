@@ -70,7 +70,8 @@ class TestQuantumDiskWeights:
 
     def test_domain_errors(self):
         for mu, scale in ((0.0, 2.0), (1.5, 2.0), (-0.2, 2.0), (0.5, 0.0),
-                          (0.5, -1.0)):
+                          (0.5, -1.0), (0.5, np.nan), (0.5, np.inf),
+                          (np.nan, 2.0)):
             with pytest.raises(ValueError):
                 quantum_disk_weights(mu, scale)
 
@@ -131,6 +132,11 @@ class TestCheckConditions:
     def test_small_kmax_rejected(self):
         with pytest.raises(ValueError):
             check_conditions(quantum_disk_weights(1.0, 2.0), 8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            check_conditions(quantum_disk_weights(1.0, 2.0), 100, tol=tol)
 
     def test_quantum_tail_bound_recorded(self):
         w = quantum_disk_weights(0.5, 2.0)
