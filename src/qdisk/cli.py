@@ -8,7 +8,7 @@ argument checks' own: --mu outside (0, 1], --scale or --tol not finite and
 positive (NaN included), --trials below 1 or --kmax below 2 for the suites,
 --kmax below 16 for verify-weights, --nmin above --nmax or --grid below 2
 for index-sweep.  Given a fixed --seed, reports are byte-for-byte
-reproducible (no timestamps).
+reproducible (no timestamps).  The parser is built once per process.
 
 The parametrix residual grows with K: the worst residuals measured were
 1.6e-11, 6.0e-11, 1.6e-10 and 4.8e-10 at K = 4096, 8192, 16384 and 32768,
@@ -22,7 +22,7 @@ import csv
 import sys
 import warnings
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -201,6 +201,7 @@ def _flags(**defaults) -> argparse.ArgumentParser:
     return parent
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdisk",

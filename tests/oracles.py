@@ -259,5 +259,9 @@ def mode_by_mode_pairing(x, y, w) -> complex:
     total = 0.0 + 0.0j
     for m in shared:
         shift = max(m, 0)
-        total += np.sum(y.coeff(m) * np.conj(x.coeff(m)) * inv_a[shift: shift + size])
+        # a named conjugate: numpy computes an unnamed one of 256 KiB or more
+        # in place, as conj(x) * y, and complex products round differently
+        # in the two operand orders
+        conj_x = np.conj(x.coeff(m))
+        total += np.sum(y.coeff(m) * conj_x * inv_a[shift: shift + size])
     return complex(total)

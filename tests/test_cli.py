@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 from qdisk import (ToeplitzElement, apply_D, apply_Dbar, apply_Q, apply_Qbar,
                    integration_by_parts_residual, norm_bound_check, norm_fourier,
                    parametrix, quantum_disk_weights, random_element)
-from qdisk import cli
+from qdisk import aps, cli
 from qdisk.cli import build_parser, main
 
 
@@ -65,6 +69,50 @@ class TestIndexSweep:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 1
         assert rows[0]["index_numeric"] == "0"
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path):
+        """The parser is built once per process: a repeated --mu does not
+        carry over into the next call's default, and each CSV is the one a
+        fresh process writes."""
+        sweep = ["index-sweep", "--nmin", "-1", "--nmax", "1"]
+        argvs = [[*sweep, "--mu", "0.3", "--mu", "0.7"], sweep]
+        outs = [tmp_path / "mus.csv", tmp_path / "default.csv"]
+        assert [run([*argv, "--out", str(out)])
+                for argv, out in zip(argvs, outs)] == [0, 0]
+        assert [{row["mu"] for row in csv.DictReader(out.open())}
+                for out in outs] == [{"0.3", "0.7"}, {"1.0"}]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        fresh = [tmp_path / f"fresh-{out.name}" for out in outs]
+        procs = [subprocess.Popen([sys.executable, "-m", "qdisk.cli", *argv,
+                                   "--out", str(out)], env=env)
+                 for argv, out in zip(argvs, fresh)]
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+        for out, want in zip(outs, fresh):
+            assert out.read_bytes() == want.read_bytes()
+
+    def test_usage_error_leaves_the_next_call_intact(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["index-sweep", "--variant", "quantum"]) == 2
+        assert run(["index-sweep", "--nmin", "1", "--nmax", "0"]) == 2
+        assert run(["index-sweep", "--nmin", "0", "--nmax", "0",
+                    "--out", str(out)]) == 0
+        assert len(list(csv.DictReader(out.open()))) == 1
+
+    def test_sweep_that_misses_the_analytic_index_exits_1(self, tmp_path,
+                                                         monkeypatch):
+        """A numeric index that disagrees with the analytic one fails the
+        sweep: here the analytic side is made to say N + 2."""
+        analytic = aps.index_analytic
+        monkeypatch.setattr(aps, "index_analytic",
+                            lambda p: analytic(aps.APSProjection(p.cutoff + 1)))
+        out = tmp_path / "sweep.csv"
+        assert run(["index-sweep", "--nmin", "-2", "--nmax", "1",
+                    "--out", str(out)]) == 1
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 4
+        for row in rows:
+            assert int(row["index_numeric"]) == int(row["N"]) + 1
+            assert int(row["index_analytic"]) == int(row["N"]) + 2
 
     def test_tiny_truncation_is_conditioning_failure(self, tmp_path):
         assert run(["index-sweep", "--variant", "nc", "--kmax", "16",

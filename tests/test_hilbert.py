@@ -8,7 +8,7 @@ from qdisk import (BoundaryFunction, TruncationWarning, abel_identity_check,
                    inner_product_fourier,
                    integration_by_parts_residual, norm_fourier, power_UB,
                    random_element, u_power, ustar_power)
-from oracles import inner_product
+from oracles import inner_product, mode_by_mode_pairing
 
 K = 128
 
@@ -76,6 +76,16 @@ class TestNormFourier:
         a = random_element(rng, K, -5, 5, k_support=K - 12)
         ip = inner_product_fourier(a, a, w2)
         assert norm_fourier(a, w2) ** 2 == pytest.approx(ip.real, rel=1e-14)
+
+    @pytest.mark.parametrize("k_max", [4096, 131072])
+    def test_row_blocks_equal_the_per_mode_loop(self, rng, w2, k_max):
+        """Past 256 KiB of product the pairing runs in blocks of whole mode
+        rows (three rows at K = 4096, one at K = 131072); the value is
+        bitwise that of the per-mode loop."""
+        a = random_element(rng, k_max, -6, 6)
+        b = random_element(rng, k_max, -4, 8)
+        assert inner_product_fourier(a, b, w2) == mode_by_mode_pairing(a, b, w2)
+        assert inner_product_fourier(a, a, w2) == mode_by_mode_pairing(a, a, w2)
 
     def test_one_weight_evaluation_per_pairing(self, rng, w2):
         """A is evaluated once per pairing and sliced per mode; the sums are
