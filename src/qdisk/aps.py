@@ -15,10 +15,9 @@ per mode it assembles the homogeneous stencil of the operator (table in the
 row pinning the tail-window mean to zero, and counts numerical null
 directions by singular values under the threshold/gap rule, in O(k_max)
 per mode: the recursion is bidiagonal and the boundary row a border
-(``nullity.count_null_bordered``, over one tridiagonal for both boundary
-conditions of a mode; the tests check it against the SVD of the dense
-system).  Kernel and cokernel never overlap and the increment in N is one
-mode at a time, so the sweep is a discrete spectral-flow picture.
+(``nullity.count_null_bidiagonal``; the tests check it against the SVD of
+the dense system).  Kernel and cokernel never overlap and the increment in
+N is one mode at a time, so the sweep is a discrete spectral-flow picture.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement
 from .ncops import _stencil, _table
-from .nullity import count_null_bordered
+from .nullity import NullCount, count_null_bidiagonal
 from .parametrix import _forced_boundary_values, apply_Q
 from .report import IllConditionedError
 from .weights import WeightPair, _validate_weights
@@ -123,30 +122,28 @@ class NumericIndex:
 
 
 def _sweep(p: APSProjection, cache: dict | None,
-           count: Callable[[list], dict]) -> NumericIndex:
+           count: Callable[[int, bool], NullCount]) -> NumericIndex:
     """Index from per-mode null counts, shared by ``index_numeric`` and
     ``classical.index_classical``, over modes -|N|-4..|N|+4.
 
     Mode m enters the kernel as system a = m, constrained iff m > cutoff,
     and the cokernel as system a = -m, constrained iff m <= cutoff + 1.
-    ``cache`` maps (a, constrained) to its null count, one entry per
-    distinct system; ``count`` takes this cutoff's uncached keys all at
-    once and returns their counts by key.  ``per_mode`` lists every (side, mode).
+    ``cache`` maps (a, constrained) to ``count(a, constrained)``, one entry
+    per distinct system; ``per_mode`` lists every (side, mode).
     """
     n, reach = p.cutoff, _reach(p)
     cache = {} if cache is None else cache
-    jobs = [(side, m, a, constrained) for m in range(-reach, reach + 1)
-            for side, a, constrained in (("ker", m, m > n),
-                                         ("coker", -m, m <= n + 1))]
-    cache.update(count(list(dict.fromkeys(
-        job[2:] for job in jobs if job[2:] not in cache))))
     per_mode = []
     dims = {"ker": 0, "coker": 0}
-    for side, m, a, constrained in jobs:
-        res = cache[a, constrained]
-        per_mode.append({"side": side, "mode": m, "constrained": constrained,
-                         "nullity": res.nullity, "threshold": res.threshold})
-        dims[side] += res.nullity
+    for m in range(-reach, reach + 1):
+        for side, a, constrained in (("ker", m, m > n),
+                                     ("coker", -m, m <= n + 1)):
+            if (a, constrained) not in cache:
+                cache[a, constrained] = count(a, constrained)
+            res = cache[a, constrained]
+            per_mode.append({"side": side, "mode": m, "constrained": constrained,
+                             "nullity": res.nullity, "threshold": res.threshold})
+            dims[side] += res.nullity
     analytic = index_analytic(p)
     counts = (dims["ker"], dims["coker"], dims["ker"] - dims["coker"])
     return NumericIndex(*counts, analytic, counts == tuple(analytic), per_mode)
@@ -174,14 +171,9 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
     a_tab, b_tab, _ = _table(w, k_max, k_hi)  # b_tab[k + 1] = B(k)
     _validate_weights(a_tab[: k_hi + 1], b_tab[1: k_hi + 2])
 
-    def count(keys: list) -> dict:
-        counts = {}
-        for a in dict.fromkeys(a for a, _ in keys):  # both systems of a over one T
-            flags = [c for b, c in keys if b == a]
-            *bands, border = _mode_bands(w, a, k_max, window, True)
-            counts |= zip([(a, c) for c in flags], count_null_bordered(
-                *bands, k_max, [border if c else None for c in flags]))
-        return counts
+    def count(a: int, constrained: bool) -> NullCount:
+        *bands, border = _mode_bands(w, a, k_max, window, constrained)
+        return count_null_bidiagonal(*bands, k_max, border=border)
 
     return _sweep(p, cache, count)
 

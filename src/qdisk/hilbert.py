@@ -37,13 +37,6 @@ __all__ = [
 ]
 
 
-def _weighted_row_sums(x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Row sums of y * conj(x) * weight, in one product buffer."""
-    prod = np.conj(x)
-    np.multiply(y, prod, out=prod)
-    return np.sum(np.multiply(prod, weight, out=prod), axis=1)
-
-
 def inner_product_fourier(a: ToeplitzElement, b: ToeplitzElement,
                           w: WeightPair) -> complex:
     """Fourier-form pairing: per-mode k-sums with the shifted 1/A weights."""
@@ -54,12 +47,9 @@ def inner_product_fourier(a: ToeplitzElement, b: ToeplitzElement,
         return 0j
     lo, hi = int(shared.min()), int(shared.max())
     weight, = _rows(w, a.k_max, +1, lo, hi, ("inv_a",))
-    x, y = (e.coeffs[lo - e.mode_lo: hi - e.mode_lo + 1] for e in (a, b))
-    step = max(1, 2 ** 18 // x[0].nbytes)  # whole mode rows per 256 KiB block
-    # a row's sum does not depend on the rows beside it: blocks change no bit
-    per_mode = _weighted_row_sums(x, y, weight) if step >= len(x) else np.concatenate(
-        [_weighted_row_sums(x[i: i + step], y[i: i + step], weight[i: i + step])
-         for i in range(0, len(x), step)])
+    prod = np.conj(a.coeffs[lo - a.mode_lo: hi - a.mode_lo + 1])
+    np.multiply(b.coeffs[lo - b.mode_lo: hi - b.mode_lo + 1], prod, out=prod)
+    per_mode = np.sum(np.multiply(prod, weight, out=prod), axis=1)
     # added one mode at a time, in the shared set's iteration order
     return complex(np.cumsum(per_mode[shared - lo])[-1])
 

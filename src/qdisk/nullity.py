@@ -36,8 +36,7 @@ Two routes:
   its support only.  The gap query, at GAP_RATIO * tau, comes first: the
   structural zeros are exact eigenvalues of any zero-diagonal T and the
   counts are monotone, so structural <= count(tau) <= count(GAP_RATIO *
-  tau): if it finds only those zeros, tau is not asked.  Borders of one T
-  share each shift's query (``count_null_bordered``).
+  tau): if it finds only those zeros, tau is not asked.
 * dense: scipy svdvals on the full matrix, O(K^3) — a test oracle, kept
   here only because the benchmark ladder imports it from this module.
 """
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.linalg import cython_lapack, svdvals
@@ -54,8 +52,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .report import IllConditionedError
 
-__all__ = ["NullCount", "count_null_dense", "count_null_bidiagonal",
-           "count_null_bordered"]
+__all__ = ["NullCount", "count_null_dense", "count_null_bidiagonal"]
 
 THRESHOLD_SCALE = 1e-6
 GAP_RATIO = 100.0
@@ -184,38 +181,31 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
                           unknowns: int | None = None,
                           border: tuple[np.ndarray, np.ndarray] | None = None
                           ) -> NullCount:
-    """Null count of one system: ``count_null_bordered`` with one border."""
-    return count_null_bordered(diag, upper, rows, cols, scale_dim, [border], unknowns)[0]
-
-
-def count_null_bordered(diag: np.ndarray, upper: np.ndarray, rows: int, cols: int,
-                        scale_dim: int, borders: list, unknowns: int | None = None
-                        ) -> list[NullCount]:
-    """Null counts of an upper-bidiagonal rows x cols matrix B (cols in
-    {rows, rows+1}) under each of ``borders``, via Sturm counts on T.
+    """Null count of an upper-bidiagonal rows x cols matrix B (cols in
+    {rows, rows+1}) via Sturm counts on the interleaved tridiagonal T.
 
     Eigenvalues of T come in ±sigma pairs plus |rows - cols| structural
     zeros, so the count of eigenvalues in (-t, t) is
     2 * #{sigma < t} + |rows - cols|.  The threshold is the fixed one of
     the module notes.  A count is one DLAEBZ Sturm query on T at
     GAP_RATIO * tau, plus one at tau only when the first finds more than
-    the structural zeros (module notes); no eigenvalue is computed.  E2,
-    PIVMIN and each shift's query are shared by all the borders.  A NaN or
-    inf in ``diag``, ``upper`` or the border values raises ValueError first.
+    the structural zeros (module notes); no eigenvalue is computed.  E2 and
+    PIVMIN are derived once per system.  A NaN or inf in ``diag``,
+    ``upper`` or the border values raises ValueError before any query.
 
     ``unknowns`` is the column count of the system whose null space is
     wanted; pass the original one when the matrix handed in is a transpose
     (singular values agree, the structural nullity does not).
 
-    A border ``(indices, values)`` appends one dense row with those entries
-    on the column (unknowns') side, None none; the count in (-t, t) becomes
+    ``border = (indices, values)`` appends one dense row with those entries
+    on the column (unknowns') side; the count in (-t, t) becomes
     count_T + 1 - 2 [s(t) > 0], s the Schur complement of the module notes.
     """
     if cols not in (rows, rows + 1):
         raise ValueError("bidiagonal route expects cols in {rows, rows+1}")
     if len(diag) != min(rows, cols) or len(upper) != min(rows, cols - 1):
         raise ValueError("inconsistent bidiagonal band lengths")
-    if any(b is not None and not np.isfinite(b[1]).all() for b in borders):
+    if border is not None and not np.isfinite(border[1]).all():
         raise ValueError("non-finite entries in border")
     if unknowns is None:
         unknowns = cols
@@ -229,34 +219,33 @@ def count_null_bordered(diag: np.ndarray, upper: np.ndarray, rows: int, cols: in
     upper = upper / scale[: len(upper)]
 
     off = _interleaved_offdiagonal(diag, upper, rows, cols)
+    size = rows + cols
     sturm = _sturm_inputs(off)
-    within = cache(lambda t: _count_within(*sturm, t))  # one query per shift
-    threshold = _threshold(scale_dim)
 
-    def _null_count(border) -> NullCount:
-        def _count(t: float) -> int:
-            count = within(t)
-            if border is not None:
-                s = -t - vals @ _shifted_solve(off, w, t)[idx]
-                count += 1 if s < 0.0 else -1
-            if count < structural or (count - structural) % 2:
-                raise IllConditionedError(
-                    f"eigenvalue count {count} at t={t:.3e} is below the "
-                    f"{structural} structural zero(s) or has the wrong parity")
-            return count
-
+    def _count(t: float) -> int:
+        count = _count_within(*sturm, t)
         if border is not None:
-            idx = 2 * np.asarray(border[0])
-            vals = border[1] / np.linalg.norm(border[1])
-            w = np.zeros(rows + cols)
-            w[idx] = vals
-        structural = abs(rows + (border is not None) - cols)
-        n_band = _count(GAP_RATIO * threshold)
-        # structural <= n_t <= n_band (module notes)
-        n_t = structural if n_band == structural else _count(threshold)
-        _check_band((n_band - n_t) // 2, threshold)
-        below = (n_t - structural) // 2
-        extra = unknowns - min(rows + (border is not None), cols)
-        return NullCount(below + extra, threshold, below, extra)
+            s = -t - vals @ _shifted_solve(off, w, t)[idx]
+            count += 1 if s < 0.0 else -1
+        if count < structural or (count - structural) % 2:
+            raise IllConditionedError(
+                f"eigenvalue count {count} at t={t:.3e} is below the "
+                f"{structural} structural zero(s) or has the wrong parity")
+        return count
 
-    return [_null_count(border) for border in borders]
+    if border is not None:
+        idx = 2 * np.asarray(border[0])
+        vals = border[1] / np.linalg.norm(border[1])
+        w = np.zeros(size)
+        w[idx] = vals
+        rows += 1
+
+    threshold = _threshold(scale_dim)
+    structural = abs(rows - cols)
+    n_band = _count(GAP_RATIO * threshold)
+    # structural <= n_t <= n_band (module notes)
+    n_t = structural if n_band == structural else _count(threshold)
+    _check_band((n_band - n_t) // 2, threshold)
+    below = (n_t - structural) // 2
+    extra = unknowns - min(rows, cols)
+    return NullCount(below + extra, threshold, below, extra)

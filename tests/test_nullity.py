@@ -185,24 +185,19 @@ def test_zero_pivot_at_a_split_is_guarded():
     assert count_within_dstebz(np.zeros(4), off, 0.5) == 3
 
 
-@pytest.mark.parametrize("index, queries", [
-    (partial(index_classical, m_points=16384), 35),
-    *[(partial(index_numeric, quantum_disk_weights(mu, 2.0), k_max=512), 25)
-      for mu in (0.3, 0.7, 1.0)],
-], ids=["classical-grid-16384", "nc-K-512-mu-0.3", "nc-K-512", "nc-K-512-mu-1.0"])
-def test_sweep_asks_one_query_per_system(monkeypatch, index, queries):
+@pytest.mark.parametrize("index", [
+    partial(index_classical, m_points=16384),
+    partial(index_numeric, quantum_disk_weights(0.7, 2.0), k_max=512),
+], ids=["classical-grid-16384", "nc-K-512"])
+def test_sweep_asks_one_query_per_system(monkeypatch, index):
     """Every system of both sweeps has no singular value below the gap
-    threshold, so each of the 35 counts is the gap query alone.  The nc
-    sweep asks it once per Golub-Kahan tridiagonal: a cutoff that needs
-    both boundary conditions of a mode counts them over one T, so 10 of
-    its 35 systems share a query; the classical boundary row is part of
-    T, so each of its systems asks its own."""
+    threshold, so each of the 35 counts is the gap query alone."""
     calls = _count_queries(monkeypatch)
     cache = {}
     for n in range(-6, 7):
         assert index(p=APSProjection(n), cache=cache).index == n + 1
     assert len(cache) == 35
-    assert len(calls) == queries
+    assert len(calls) == 35
 
 
 def test_singular_value_below_threshold_takes_both_queries(monkeypatch):
@@ -215,40 +210,6 @@ def test_singular_value_below_threshold_takes_both_queries(monkeypatch):
     assert (got.n_below, got.nullity, got.structural) == (1, 1, 0)
     assert len(calls) == 2
     assert got == count_null_two_queries(diag, upper, rows, rows, rows)
-
-
-def test_borders_of_one_system_share_each_shift_query(monkeypatch):
-    """``count_null_bordered`` counts every border over the one T of the
-    system: the gap and threshold queries run once each, and each border's
-    count is that system's count alone."""
-    rows = 30
-    diag, upper, _ = _kahan_system(rows, 2.0)
-    borders = [None, ([0], np.ones(1)), ([rows - 1], np.ones(1)),
-               (np.arange(rows), np.ones(rows))]
-    want = [count_null_bidiagonal(diag, upper, rows, rows, rows, border=b)
-            for b in borders]
-    calls = _count_queries(monkeypatch)
-    got = nullity.count_null_bordered(diag, upper, rows, rows, rows, borders)
-    assert got == want
-    assert [c.nullity for c in got] == [1, 0, 1, 0]
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("k_max", [128, 512, 4096])
-@pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
-def test_sweep_counts_equal_one_system_counts(k_max, mu):
-    """The sweep counts both boundary conditions of a mode over one shared
-    T; every cached count equals that system counted on its own."""
-    w = quantum_disk_weights(mu, 2.0)
-    cache = {}
-    for n in range(-6, 7):
-        index_numeric(w, APSProjection(n), k_max, cache=cache)
-    assert sorted(cache) == _sweep_jobs()
-    for (a, constrained), got in cache.items():
-        diag, upper, rows, cols, border = _mode_bands(w, a, k_max, k_max // 16,
-                                                      constrained)
-        assert got == count_null_bidiagonal(diag, upper, rows, cols, k_max,
-                                            border=border), (a, constrained)
 
 
 def test_singular_value_in_the_gap_still_raises():
