@@ -16,27 +16,32 @@ Two routes:
 
 * bidiagonal (production): an upper-bidiagonal system B, optionally
   bordered by one dense row w.  Singular values of B are the eigenvalues of
-  its interleaved (Golub-Kahan) zero-diagonal tridiagonal T.  A threshold
-  query is one pair of Sturm counts on T, at -t and t, in O(size) with
-  absolute accuracy eps * sigma_max: LAPACK's Sturm kernel DLAEBZ
-  (IJOB = 1, bound at import from scipy's Cython LAPACK capsule) on the
-  inputs dstebz derives for it, E2 = off^2 with squares below the
-  underflow threshold zeroed (splits) and PIVMIN = tiny * max(1, max E2),
-  below which a pivot becomes -PIVMIN.  dstebz itself adds passes over T
-  that a count does not need; dlarrc lacks the pivot guard and miscounts
-  after a zero pivot at a split (0/0).  The guard keeps the counts
-  monotone in the shift in IEEE arithmetic (Demmel, Dhillon & Ren, On the
-  correctness of some bisection-like parallel eigenvalue algorithms in
-  floating point arithmetic, 1995).  The counts stay on T
-  because squaring would lose the small singular values.  The border
-  changes the inertia of H - tI, H the Golub-Kahan matrix of the bordered
-  system, by the sign of the Schur complement s(t) = -t - w^T (T - tI)^{-1} w
-  (Haynsworth), one tridiagonal solve per query (LAPACK dgtsv, Gaussian
-  elimination with partial pivoting).  Dot products with w run over
-  its support only.  The gap query, at GAP_RATIO * tau, comes first: the
-  structural zeros are exact eigenvalues of any zero-diagonal T and the
-  counts are monotone, so structural <= count(tau) <= count(GAP_RATIO *
-  tau): if it finds only those zeros, tau is not asked.
+  its interleaved (Golub-Kahan) zero-diagonal tridiagonal T, ±sigma pairs
+  plus exact zeros.  By that symmetry a threshold query, the count in
+  [-t, t], is 2 N(t) - size from one Sturm count N(t) on T at t, in
+  O(size) with absolute accuracy eps * sigma_max: one bisection step of
+  LAPACK's Sturm kernel DLAEBZ (IJOB = 2, bound at import from scipy's
+  Cython LAPACK capsule) on [0, 2t], whose midpoint is t; IJOB = 1 would
+  count at both ends of [-t, t].  Its inputs are dstebz's, E2 = off^2 with
+  squares below the underflow threshold zeroed (splits) and PIVMIN = tiny
+  * max(1, max E2): a pivot at or below PIVMIN counts and becomes at most
+  -PIVMIN, so an eigenvalue at ±t to the last bit counts, which the
+  forbidden band keeps away from every accepted count.  dstebz itself adds
+  passes over T that a count does not need; dlarrc lacks the pivot guard
+  and miscounts after a zero pivot at a split (0/0).  The guard keeps the
+  counts monotone in the shift in IEEE arithmetic (Demmel, Dhillon & Ren,
+  On the correctness of some bisection-like parallel eigenvalue algorithms
+  in floating point arithmetic, 1995).  The counts stay on T because
+  squaring would lose the small singular values.  The border moves the
+  count of H, the (± symmetric) Golub-Kahan matrix of the bordered system,
+  by +1 if the Schur complement s(t) = -t - w^T (T - tI)^{-1} w is
+  negative, else by -1 (Haynsworth): one tridiagonal solve per query
+  (LAPACK dgtsv, Gaussian elimination with partial pivoting), dotted with w
+  over its support only.  A zero border stays unscaled: s = -t.  The gap query,
+  at GAP_RATIO * tau, comes first: the structural zeros are exact
+  eigenvalues of any zero-diagonal T and the counts are monotone, so
+  structural <= count(tau) <= count(GAP_RATIO * tau): if it finds only
+  those zeros, tau is not asked.
 * dense: scipy svdvals on the full matrix, O(K^3) — a test oracle, kept
   here only because the benchmark ladder imports it from this module.
 """
@@ -143,25 +148,29 @@ def _sturm_inputs(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _count_within(d: np.ndarray, e2: np.ndarray, pivmin: float, t: float) -> int:
-    """Eigenvalues in (-t, t] of the tridiagonal ``_sturm_inputs`` describes:
-    MOUT of DLAEBZ with IJOB = 1 on the one interval [-t, t], the Sturm
-    count at t minus the one at -t.  No bisection runs, so nothing can fail
-    to converge, and a nonzero INFO is a bug in this call.  Every pointer
-    gets a valid buffer, read or not; E, unread, shares E2's."""
+    """Eigenvalues in [-t, t], t > 0, of the zero-diagonal tridiagonal that
+    ``_sturm_inputs`` describes, as 2 N(t) - n (module notes), by one IJOB = 2
+    step on AB = [0, 2t], NAB = (0, n), which counts at the midpoint t.  The
+    first pivot, -t, counts, so the step keeps [0, t] as interval 1 and N(t)
+    as NAB(1,2).  INFO 1 or 2 counts the intervals one step leaves
+    unconverged; any other nonzero INFO is a bug in this call.  Every
+    pointer gets a valid buffer, read or not; E, unread, shares E2's."""
     if not (d.dtype == e2.dtype == np.float64 and d.flags.c_contiguous
             and e2.flags.c_contiguous and len(e2) == len(d) - 1):
         raise ValueError("dlaebz needs contiguous float64 D and E2, len(E2) = N - 1")
-    # ints: IJOB = 1, NITMAX, N, MMAX = MINP = 1, NBMIN, then NVAL, MOUT,
-    # NAB(1:2), IWORK, INFO; reals: ABSTOL, RELTOL, PIVMIN, AB(1:2), C, WORK
-    ints = (ctypes.c_int * 12)(1, 0, len(d), 1, 1, 0)
-    reals = (ctypes.c_double * 7)(0.0, 0.0, pivmin, -t, t)
+    # ints: IJOB = 2, NITMAX = 1, N, MMAX = 2, MINP = 1, NBMIN = 0, NVAL(2),
+    # MOUT, NAB(2, 2) = (0, -, n, -) by columns, IWORK(2), INFO; reals: ABSTOL,
+    # RELTOL, PIVMIN, AB(2, 2) = (0, -, 2t, -), C(2), WORK(2): one pass, at t
+    ints = (ctypes.c_int * 16)(2, 1, len(d), 2, 1, 0, 0, 0, 0, 0, 0, len(d))
+    reals = (ctypes.c_double * 11)(0.0, 0.0, pivmin, 0.0, 0.0, 2.0 * t)
     i, r, e = ctypes.addressof(ints), ctypes.addressof(reals), e2.ctypes.data
     _dlaebz(i, i + 4, i + 8, i + 12, i + 16, i + 20, r, r + 8, r + 16,
-            d.ctypes.data, e, e, i + 24, r + 24, r + 40, i + 28, i + 32,
-            r + 48, i + 40, i + 44)
-    if ints[11]:
-        raise RuntimeError(f"dlaebz rejected argument {-ints[11]}")
-    return ints[7]
+            d.ctypes.data, e, e, i + 24, r + 24, r + 56, i + 32, i + 36,
+            r + 72, i + 52, i + 60)
+    if not 0 <= ints[15] <= 2:
+        raise RuntimeError(f"dlaebz rejected argument {-ints[15]}" if ints[15] < 0
+                           else f"dlaebz overflowed its intervals, INFO = {ints[15]}")
+    return 2 * ints[11] - len(d)
 
 
 def _shifted_solve(off: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
@@ -185,21 +194,21 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
     {rows, rows+1}) via Sturm counts on the interleaved tridiagonal T.
 
     Eigenvalues of T come in ±sigma pairs plus |rows - cols| structural
-    zeros, so the count of eigenvalues in (-t, t) is
-    2 * #{sigma < t} + |rows - cols|.  The threshold is the fixed one of
-    the module notes.  A count is one DLAEBZ Sturm query on T at
-    GAP_RATIO * tau, plus one at tau only when the first finds more than
-    the structural zeros (module notes); no eigenvalue is computed.  E2 and
-    PIVMIN are derived once per system.  A NaN or inf in ``diag``,
-    ``upper`` or the border values raises ValueError before any query.
+    zeros, so the count of eigenvalues in [-t, t] is
+    2 * #{sigma <= t} + |rows - cols|.  The threshold is the fixed one of
+    the module notes.  A count is one Sturm pass on T at GAP_RATIO * tau,
+    plus one at tau only when the first finds more than the structural
+    zeros (module notes); no eigenvalue is computed.  E2 and PIVMIN are
+    derived once per system.  A NaN or inf in ``diag``, ``upper`` or the
+    border values raises ValueError before any query.
 
     ``unknowns`` is the column count of the system whose null space is
     wanted; pass the original one when the matrix handed in is a transpose
     (singular values agree, the structural nullity does not).
 
     ``border = (indices, values)`` appends one dense row with those entries
-    on the column (unknowns') side; the count in (-t, t) becomes
-    count_T + 1 - 2 [s(t) > 0], s the Schur complement of the module notes.
+    on the column (unknowns') side; the count in [-t, t] becomes
+    count_T + 1 - 2 [s(t) >= 0], s the Schur complement of the module notes.
     """
     if cols not in (rows, rows + 1):
         raise ValueError("bidiagonal route expects cols in {rows, rows+1}")
@@ -235,7 +244,7 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
 
     if border is not None:
         idx = 2 * np.asarray(border[0])
-        vals = border[1] / np.linalg.norm(border[1])
+        vals = border[1] / (np.linalg.norm(border[1]) or 1.0)
         w = np.zeros(size)
         w[idx] = vals
         rows += 1

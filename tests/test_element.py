@@ -259,6 +259,17 @@ class TestLinearStructure:
             np.testing.assert_allclose(c.coeff(m), a.coeff(m) + b.coeff(m),
                                        rtol=0, atol=1e-15)
 
+    def test_sum_declares_its_tails_from_the_later_start(self, rng):
+        """A declared tail of a sum is exact only from the later of the two
+        tail_starts on: before it, one summand is still off its tail."""
+        a = random_element(rng, 16, -2, 2, declared_tails=True, tail_start=3)
+        b = random_element(rng, 16, -2, 2, declared_tails=True, tail_start=9)
+        for c in (a + b, b + a):
+            assert c.tail_start == 9
+            for m in c.modes:
+                assert np.all(c.coeff(m)[9:] == c.tail(m))
+                assert not np.all(c.coeff(m)[3:] == c.tail(m))
+
     def test_zero_element(self):
         z = zero(16)
         assert not z.modes

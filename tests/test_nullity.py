@@ -9,13 +9,19 @@ the tests check that bound on the oracle's singular values.  The count
 asks the gap query first and skips the query at the threshold when the
 gap query finds only the structural zeros; ``count_null_two_queries``,
 which always asks both through dstebz, must give the same ``NullCount``.
-Each query is one DLAEBZ Sturm count (``nullity._count_within``), checked
-against dstebz's count (``count_within_dstebz``) on every sweep system, on
-random tridiagonals with splits and underflowing squares, and on a split
-that a count without pivot guard (dlarrc) gets wrong.
+Each query (``nullity._count_within``) is one DLAEBZ Sturm pass at t: the
+Golub-Kahan spectrum is ± symmetric, so the count in [-t, t] is
+2 N(t) - n.  dstebz counts (-t, t] (``count_within_dstebz``); the two
+differ only for t on an eigenvalue to the last bit, which the forbidden
+band keeps from every accepted count.  So the query equals dstebz's count
+on every sweep system and, off the spectrum, on random tridiagonals with
+splits and underflowing squares; with t on an eigenvalue it equals
+dstebz's half-line count mirrored, also on a split where a count without
+pivot guard (dlarrc) would divide 0 by 0.
 """
 
 import ctypes
+import warnings
 from functools import partial
 
 import numpy as np
@@ -175,13 +181,23 @@ def test_count_within_equals_dstebz_on_the_classical_sweep(grid, monkeypatch):
         _assert_dlaebz_count_is_dstebz_count(off, grid)
 
 
+def _mirrored_half_line_count(off, t):
+    """Eigenvalues in [-t, t] of the zero-diagonal tridiagonal with
+    off-diagonal ``off``, by the ± symmetry from dstebz's independent count
+    of those in (-r, t], r above the spectral radius."""
+    size, r = len(off) + 1, 2.0 * np.abs(off).max(initial=0.0) + 1.0
+    return 2 * len(eigvalsh_tridiagonal(np.zeros(size), off, select="v",
+                                        select_range=(-r, t))) - size
+
+
 def test_zero_pivot_at_a_split_is_guarded():
     """T = diag(0) with off-diagonal [0.5, 0, 0.25] has eigenvalues ±0.5 and
-    ±0.25, three of them in (-0.5, 0.5].  The Sturm recurrence meets an
-    exact zero pivot at the split; without the PIVMIN guard (dlarrc) it
-    divides 0 by 0 and counts 1."""
+    ±0.25, all four in [-0.5, 0.5] (three in dstebz's (-0.5, 0.5]).  The
+    Sturm pass at 0.5 meets an exact zero pivot at the split; without the
+    PIVMIN guard (dlarrc) the next step divides 0 by 0."""
     off = np.array([0.5, 0.0, 0.25])
-    assert nullity._count_within(*nullity._sturm_inputs(off), 0.5) == 3
+    assert nullity._count_within(*nullity._sturm_inputs(off), 0.5) == 4
+    assert _mirrored_half_line_count(off, 0.5) == 4
     assert count_within_dstebz(np.zeros(4), off, 0.5) == 3
 
 
@@ -319,21 +335,13 @@ def test_row_equilibrated_sigma_max_lies_in_one_to_two(rows, wide, bordered,
     assert 1.0 - 1e-12 <= _top_sigma(dense) <= 2.0
 
 
-@settings(max_examples=300, deadline=None)
-@given(size=st.integers(2, 120),
-       family=st.sampled_from(["spread", "clustered", "split", "underflow"]),
-       seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 10 ** 6),
-       nudge=st.integers(-3, 3))
-def test_count_only_query_matches_full_count(size, family, seed, pick,
-                                             nudge):
-    """On zero-diagonal tridiagonals T, the count-only Sturm query equals
-    the full-precision count, even with the threshold on or a few ulps off
-    an eigenvalue of a cluster.  Clustered: every other off-diagonal entry
-    is tiny, so T is close to 2 x 2 blocks whose eigenvalues cluster at ±c
-    within 1e-12.  Split: about a third of the entries are exact zeros, so
-    the recurrence meets zero pivots.  Underflow: magnitudes span 1e-300 to
-    1, so many squares fall below the underflow threshold and become
-    splits."""
+def _random_offdiagonal(size, family, seed):
+    """Off-diagonal of a random zero-diagonal tridiagonal.  Clustered: every
+    other entry is tiny, so T is close to 2 x 2 blocks whose eigenvalues
+    cluster at ±c within 1e-12.  Split: about a third of the entries are
+    exact zeros, so the recurrence meets zero pivots.  Underflow: magnitudes
+    span 1e-300 to 1, so many squares fall below the underflow threshold
+    and become splits."""
     rng = np.random.default_rng(seed)
     if family == "clustered":
         off = rng.uniform(0.5, 1.0) * (1.0 + 1e-14 * rng.standard_normal(size - 1))
@@ -344,12 +352,45 @@ def test_count_only_query_matches_full_count(size, family, seed, pick,
         off = rng.uniform(-1.0, 1.0, size - 1) * 10 ** rng.uniform(-8, 0, size - 1)
         if family == "split":
             off[rng.random(size - 1) < 1 / 3] = 0.0
+    return off
+
+
+_FAMILIES = st.sampled_from(["spread", "clustered", "split", "underflow"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(2, 120), family=_FAMILIES,
+       seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 10 ** 6),
+       nudge=st.integers(-3, 3))
+def test_count_only_query_matches_full_count(size, family, seed, pick,
+                                             nudge):
+    """On zero-diagonal tridiagonals T (``_random_offdiagonal``'s families),
+    the count-only Sturm query equals the full-precision count in [-t, t],
+    dstebz's half-line count mirrored, even with the threshold on or a few
+    ulps off an eigenvalue of a cluster."""
+    off = _random_offdiagonal(size, family, seed)
     full = eigvalsh_tridiagonal(np.zeros(size), off)
     t = abs(full[pick % size]) * (1.0 + nudge * np.finfo(float).eps)
     assume(t > 0.0)
-    want = len(eigvalsh_tridiagonal(np.zeros(size), off, select="v",
-                                    select_range=(-t, t)))
+    want = _mirrored_half_line_count(off, t)
     assert nullity._count_within(*nullity._sturm_inputs(off), t) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(2, 120), family=_FAMILIES,
+       seed=st.integers(0, 2 ** 32 - 1), log_t=st.floats(-10.0, 0.5))
+def test_count_off_the_spectrum_needs_no_endpoint_convention(size, family,
+                                                             seed, log_t):
+    """With t > 1e-10 at least 1e-9 t away from every |eigenvalue|, [-t, t],
+    (-t, t] and (-t, t) hold the same eigenvalues: the query equals dstebz's
+    count and the dense count of |eigenvalue| < t."""
+    off = _random_offdiagonal(size, family, seed)
+    t = 10.0 ** log_t
+    dense = np.abs(np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)))
+    assume(t > 1e-10 and np.min(np.abs(dense - t)) >= 1e-9 * t)
+    got = nullity._count_within(*nullity._sturm_inputs(off), t)
+    assert got == count_within_dstebz(np.zeros(size), off, t)
+    assert got == np.sum(dense < t)
 
 
 def test_index_at_a_size_beyond_the_dense_route():
@@ -359,6 +400,23 @@ def test_index_at_a_size_beyond_the_dense_route():
         res = index_numeric(w, APSProjection(n), 8192, cache=cache)
         assert res.index == n + 1
         assert res.matches_analytic
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_zero_border_row_counts_as_a_zero_row(wide):
+    """An all-zero border row adds no constraint.  It stays unscaled, as the
+    zero rows of the dense route do, so s(t) = -t: the count is the dense
+    oracle's, with no 0/0 on the way."""
+    rows, cols = 5, 5 + wide
+    diag, upper = np.ones(rows), np.full(cols - 1, 0.5)
+    dense = np.zeros((rows + 1, cols))
+    dense[:rows] = (np.eye(rows, cols) + 0.5 * np.eye(rows, cols, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = count_null_bidiagonal(diag, upper, rows, cols, rows,
+                                    border=(np.array([0, 1]), np.zeros(2)))
+    assert got == count_null_dense(dense, rows)
+    assert got.nullity == wide
 
 
 def _dgtsv_info(info):
@@ -425,6 +483,19 @@ def test_rejected_sturm_argument_is_an_internal_error(monkeypatch):
     with pytest.raises(RuntimeError, match="argument 3") as caught:
         main(["index-sweep", "--variant", "classical", "--grid", "257",
               "--nmin", "0", "--nmax", "0"])
+    assert not isinstance(caught.value, IllConditionedError)
+
+
+def test_overflowed_sturm_intervals_are_an_internal_error(monkeypatch):
+    """One bisection step splits one interval into at most MMAX = 2, so an
+    INFO above 2 is a bug in the call too, reported as such."""
+    @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)
+    def overflowing(*pointers):
+        ctypes.c_int.from_address(pointers[-1]).value = 3
+
+    monkeypatch.setattr(nullity, "_dlaebz", overflowing)
+    with pytest.raises(RuntimeError, match="INFO = 3") as caught:
+        count_null_bidiagonal(np.ones(4), np.full(3, 0.5), 4, 4, 4)
     assert not isinstance(caught.value, IllConditionedError)
 
 

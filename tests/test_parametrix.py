@@ -134,6 +134,19 @@ class TestRightInverse:
         with pytest.warns(TruncationWarning, match="bounded by"):
             apply_Q(b, w2)
 
+    def test_tail_warning_reports_its_bound(self, w2):
+        """The warning quotes the edge mass and the bound it implies: the
+        edge mass times ``inv_a_tail(K)``, the bound on sum_{j > K} 1/A(j)."""
+        coeffs = np.zeros(K + 1)
+        coeffs[-1] = 3.0
+        with pytest.warns(TruncationWarning) as caught:
+            apply_Q(from_mode(2, coeffs, K), w2)
+        bound = 3.0 * w2.inv_a_tail(K)
+        assert bound > 0.0
+        assert [str(c.message) for c in caught] == [
+            f"input has coefficients of size {3.0:.3e} at the truncation "
+            f"edge; neglected parametrix tail bounded by {bound:.3e}"]
+
     @pytest.mark.parametrize("apply, mode", [(apply_Q, 2), (apply_Qbar, -2)])
     def test_tail_warning_threshold(self, w2, apply, mode):
         """The edge mass of a mode whose sum runs forward warns above 1e-9:

@@ -186,6 +186,12 @@ class TestTableAndCustomWeights:
         with pytest.raises(ValueError, match="increasing"):
             table_weights([1.0, 2.0, 3.0], [0.5, 0.4, 0.6])
 
+    def test_b_plateau_rejected_at_the_repeat(self):
+        """B(2) = B(1) stays in (0, 1) but is not strictly increasing."""
+        with pytest.raises(ValueError,
+                           match="strictly increasing; it fails first at k=2"):
+            table_weights([1.0, 2.0, 3.0, 4.0], [0.3, 0.5, 0.5, 0.6])
+
     def test_b_above_one_rejected(self):
         with pytest.raises(ValueError, match="below 1"):
             table_weights([1.0, 2.0, 3.0], [0.5, 0.9, 1.1])
