@@ -33,6 +33,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -85,8 +86,13 @@ class ToeplitzElement:
     @property
     def modes(self) -> Mapping[int, np.ndarray]:
         """Present mode -> its coefficient row (read-only)."""
-        return MappingProxyType({self.mode_lo + i: self.coeffs[i]
-                                 for i in np.flatnonzero(self.present).tolist()})
+        return MappingProxyType({m: self.coeffs[m - self.mode_lo]
+                                 for m in self.present_modes})
+
+    @property
+    def present_modes(self) -> list[int]:
+        """The present modes as ascending ints: the keys of ``modes``."""
+        return list(compress(range(self.mode_lo, self.mode_hi + 1), self.present.tolist()))
 
     @property
     def tails(self) -> Mapping[int, complex]:
@@ -124,37 +130,47 @@ class ToeplitzElement:
 
     @property
     def mode_min(self) -> int:
-        return min(self.modes, default=0)
+        return min(self.present_modes, default=0)
 
     @property
     def mode_max(self) -> int:
-        return max(self.modes, default=0)
+        return max(self.present_modes, default=0)
 
     # -- linear structure ---------------------------------------------------
 
-    def __add__(self, other: "ToeplitzElement") -> "ToeplitzElement":
+    def _spanning(self, lo: int, rows: int) -> "ToeplitzElement":
+        """The element over modes lo..lo+rows-1 (absent rows added), or itself."""
+        if (self.mode_lo, len(self.coeffs)) == (lo, rows):
+            return self
+        parts = (self.coeffs, self.present, self.tail_values, self.declared)
+        wide = [np.zeros((rows, *x.shape[1:]), x.dtype) for x in parts]
+        for full, part in zip(wide, parts):
+            full[self.mode_lo - lo: self.mode_hi - lo + 1] = part
+        return ToeplitzElement(self.k_max, lo, *wide)
+
+    def _combine(self, other: "ToeplitzElement", op) -> "ToeplitzElement":
+        """self + other (op np.add) or self - other (np.subtract), one ufunc
+        call over the union of the mode ranges (absent rows are 0, tail 0)."""
         if not isinstance(other, ToeplitzElement):
             return NotImplemented
         if other.k_max != self.k_max:
             raise ValueError("elements must share k_max")
         lo = min(self.mode_lo, other.mode_lo)
-        rows = max(self.mode_hi, other.mode_hi) - lo + 1
-        coeffs = np.zeros((rows, self.k_max + 1), dtype=complex)
-        present, known = np.zeros(rows, bool), np.ones(rows, bool)
-        tails = np.zeros(rows, complex)
-        for x in (self, other):  # absent rows add zero and a known tail 0
-            at = slice(x.mode_lo - lo, x.mode_hi - lo + 1)
-            coeffs[at] += x.coeffs
-            present[at] |= x.present
-            known[at] &= x.declared | ~x.present
-            tails[at] += x.tail_values
-        return ToeplitzElement(self.k_max, lo, coeffs, present,
-                               np.where(known, tails, 0), known & present,
+        x, y = (e._spanning(lo, max(self.mode_hi, other.mode_hi) - lo + 1)
+                for e in (self, other))
+        known = (x.declared | ~x.present) & (y.declared | ~y.present)
+        return ToeplitzElement(self.k_max, lo, op(x.coeffs, y.coeffs),
+                               x.present | y.present,
+                               np.where(known, op(x.tail_values, y.tail_values), 0),
+                               known & (x.present | y.present),
                                max(self.tail_start, other.tail_start),
                                min(self.k_valid, other.k_valid))
 
+    def __add__(self, other: "ToeplitzElement") -> "ToeplitzElement":
+        return self._combine(other, np.add)
+
     def __sub__(self, other: "ToeplitzElement") -> "ToeplitzElement":
-        return self + (-1.0) * other
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "ToeplitzElement":
         if isinstance(scalar, ToeplitzElement):
@@ -376,7 +392,7 @@ def restrict(a: ToeplitzElement, tail_window: int = 16) -> BoundaryFunction:
                 f"{unbounded} have no usable declared tail, so their "
                 f"boundary values are unbounded estimates", TruncationWarning,
                 stacklevel=2)
-    modes = list(a.modes)
+    modes = a.present_modes
     values = np.where(exact, a.tail_values, means)[a.present].tolist()
     variation = np.where(exact, 0.0, spread)[a.present].tolist()
     return BoundaryFunction(dict(zip(modes, values)), dict(zip(modes, variation)))
@@ -407,7 +423,7 @@ def random_element(rng: np.random.Generator, k_max: int, mode_min: int = -6,
     body = min(k_support, k_max + 1)
     draw = rng.standard_normal((rows, 2 * body + 2 * declared_tails))
     coeffs = np.zeros((rows, k_max + 1), dtype=complex)
-    coeffs[:, :body] = draw[:, :body] + 1j * draw[:, body: 2 * body]
+    coeffs.real[:, :body], coeffs.imag[:, :body] = draw[:, :body], draw[:, body:2 * body]
     tails = draw[:, -2] + 1j * draw[:, -1] if declared_tails else np.zeros(rows, complex)
     if declared_tails:
         coeffs[:, tail_start:] = tails[:, None]

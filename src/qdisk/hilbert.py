@@ -39,10 +39,11 @@ __all__ = [
 
 def inner_product_fourier(a: ToeplitzElement, b: ToeplitzElement,
                           w: WeightPair) -> complex:
-    """Fourier-form pairing: per-mode k-sums with the shifted 1/A weights."""
+    """Fourier-form pairing: per-mode k-sums with the shifted 1/A weights,
+    added over the shared modes (from the row masks) in their set order."""
     if a.k_max != b.k_max:
         raise ValueError("elements must share k_max")
-    shared = np.fromiter(set(a.modes) & set(b.modes), int)
+    shared = np.fromiter(set(a.present_modes) & set(b.present_modes), int)
     if not len(shared):
         return 0j
     lo, hi = int(shared.min()), int(shared.max())
@@ -127,7 +128,7 @@ def _ibp_tail(x: ToeplitzElement, w: WeightPair, shift: int,
     σ(B(k+n+q) - B(k+q)), whose sum over k > k_max telescopes to
     σ Σ_{j<n}(1 - B(K+1+q+j)) (the memo's ``ibp`` entry)."""
     tails, = _rows(w, x.k_max, shift, x.mode_lo, x.mode_hi, ("ibp",))
-    return sum(pair(m) * tails[m - x.mode_lo] for m in x.modes)
+    return sum(pair(m) * tails[m - x.mode_lo] for m in x.present_modes)
 
 
 def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
@@ -142,9 +143,7 @@ def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
     """
     if a.k_max != b.k_max:
         raise ValueError("elements must share k_max")
-    undeclared = [m for m in a.modes if a.tail(m) is None]
-    undeclared += [m for m in b.modes if b.tail(m) is None]
-    if undeclared:
+    if np.any(a.present & ~a.declared) or np.any(b.present & ~b.declared):
         warnings.warn(
             "inputs without declared tails: boundary values are window-mean "
             "estimates and the residual is only O(1/k_max)",

@@ -36,8 +36,9 @@ a fill has needed (k_max + r + 1 for the stencil kinds, r the largest
 the modes asked for so far.  ``_rows`` fills a kind on first use and again,
 over the union, for a wider mode range; each row is computed with the
 arithmetic of the per-mode slice it replaces, so it is bitwise equal to it,
-and a warm call evaluates no weight and no exp.  The operators act on the
-whole (modes x (k_max+1)) coefficient array at once.
+and a warm call evaluates no weight and no exp.  The operators build their
+(modes x (k_max+1)) output array in place from whole arrays; by the table
+the s = -1 rows are one contiguous block (``_blocks``).
 
 Sign convention at the boundary: with B increasing, the angular coefficients
 converge to +m for input mode m (the normalized B-differences are negative
@@ -148,6 +149,13 @@ def _rows(w: WeightPair, k_max: int, shift: int, lo: int, hi: int,
     return out
 
 
+def _blocks(shift: int, lo: int) -> tuple[slice, slice]:
+    """Row slices (s = -1, s = +1) of D (shift +1) or D̄ (shift -1) at input
+    modes lo, lo + 1, ...: the head m < 0 for D, the tail m > 0 for D̄."""
+    cut = max(-lo, 0) if shift > 0 else max(1 - lo, 0)
+    return (slice(None, cut), slice(cut, None))[::shift]
+
+
 def _operand(a: ToeplitzElement, w: WeightPair, shift: int):
     """Weight rows σA(k+p), B(k+n+q), B(k+q) at the modes of a, their s = +1
     mask as a column, c(k) and c(k+s) (by value below k = 0, the declared
@@ -156,8 +164,8 @@ def _operand(a: ToeplitzElement, w: WeightPair, shift: int):
                       ("amp", "on_c", "on_next", "up"))
     c = a.coeffs
     nxt = np.empty_like(c)
-    nxt[:, :-1], nxt[:, -1] = c[:, 1:], a.tail_values
-    down = ~up
+    down, fwd = _blocks(shift, a.mode_lo)
+    nxt[fwd, :-1], nxt[fwd, -1] = c[fwd, 1:], a.tail_values[fwd]
     nxt[down, 1:], nxt[down, 0] = c[down, :-1], c[down, 0]
     return rows, up[:, None], c, nxt
 
@@ -166,8 +174,10 @@ def _apply(a: ToeplitzElement, w: WeightPair, shift: int) -> ToeplitzElement:
     (amp, on_c, on_next), up, c, nxt = _operand(a, w, shift)
     # reading c(k+1) past k_max costs one valid k, unless the tail is declared
     shrink = bool(np.any(up[:, 0] & a.present & ~a.declared))
+    out = np.multiply(on_c, c)  # amp * (on_c * c - on_next * nxt), in place
+    np.subtract(out, np.multiply(on_next, nxt, out=nxt), out=out)
     return ToeplitzElement(a.k_max, a.mode_lo + shift,
-                           amp * (on_c * c - on_next * nxt),
+                           np.multiply(amp, out, out=out),
                            a.present, tail_start=a.tail_start,
                            k_valid=max(a.k_valid - shrink, -1))
 

@@ -15,6 +15,8 @@ exp of differences of cumulative log sums, so deep products cannot
 underflow.  The j >= k sums truncate at k_max; when the input still has mass
 above TAIL_TOL there, the neglected tail is bounded by max|coeff| *
 sum_{j>k_max} 1/A(j) and reported through a TruncationWarning.
+Each solve builds its output array in place: cumsum writes the sums of the
+s = -1 block (``ncops._blocks``) and, through a reversed view, of the rest.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement, power_UB
 from .hilbert import norm_fourier
-from .ncops import _rows, _table, apply_D
+from .ncops import _blocks, _rows, _table, apply_D
 from .report import CheckResult, DecompositionError, Report, TruncationWarning
 from .weights import WeightPair
 
@@ -60,7 +62,8 @@ def _summands(b: ToeplitzElement, w: WeightPair, shift: int):
     (σ A(j+p)) for j = 0..k_max."""
     exp_h, inv_amp, up = _rows(w, b.k_max, shift, b.mode_lo - shift,
                                b.mode_hi - shift, ("exp_h", "inv_amp", "up"))
-    return up, exp_h * b.coeffs * inv_amp
+    terms = np.multiply(exp_h, b.coeffs)
+    return up, np.multiply(terms, inv_amp, out=terms)
 
 
 def _solve(b: ToeplitzElement, w: WeightPair, shift: int) -> ToeplitzElement:
@@ -68,11 +71,13 @@ def _solve(b: ToeplitzElement, w: WeightPair, shift: int) -> ToeplitzElement:
     up, terms = _summands(b, w, shift)  # up: j >= k sums
     exp_g, = _rows(w, b.k_max, shift, b.mode_lo - shift, b.mode_hi - shift,
                    ("exp_g",))
+    down, fwd = _blocks(shift, b.mode_lo - shift)
     total = np.empty_like(terms)
-    total[~up] = np.cumsum(terms[~up], axis=1)
-    total[up] = np.cumsum(terms[up, ::-1], axis=1)[:, ::-1]
+    np.cumsum(terms[down], axis=1, out=total[down])
+    np.cumsum(terms[fwd, ::-1], axis=1, out=total[fwd, ::-1])
     _tail_warning(b, w, up)
-    return ToeplitzElement(b.k_max, b.mode_lo - shift, exp_g * total,
+    return ToeplitzElement(b.k_max, b.mode_lo - shift,
+                           np.multiply(exp_g, total, out=total),
                            b.present, tail_start=b.tail_start, k_valid=b.k_valid)
 
 

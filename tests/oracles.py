@@ -171,7 +171,7 @@ def count_null_two_queries(diag, upper, rows, cols, scale_dim,
 
     if border is not None:
         idx = 2 * np.asarray(border[0])
-        vals = border[1] / np.linalg.norm(border[1])
+        vals = border[1] / (np.linalg.norm(border[1]) or 1.0)
         w = np.zeros(size)
         w[idx] = vals
         bands = np.array([np.r_[0.0, off], np.zeros(size), np.r_[off, 0.0]])

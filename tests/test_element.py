@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,16 @@ class TestRestrictExtend:
         assert abs(f.coeff(-1)) < 2.0 / K
         assert f.variation[-1] < 2.0 / K
 
+    def test_variation_is_the_window_spread(self):
+        """An undeclared mode records max |window - mean| over its last 16
+        valid coefficients: for the ramp 0, 1/2, ..., 15/2 ending at k_valid
+        the mean and the spread are both 15/4, exactly."""
+        ks = np.arange(K + 1)
+        a = replace(from_mode(3, 0.5 * (ks - 40), K), k_valid=55)
+        f = restrict(a)
+        assert f.coeff(3) == 3.75
+        assert f.variation[3] == 3.75
+
     def test_no_valid_coefficient_is_unbounded(self, rng):
         a = random_element(rng, 10, -6, 6)
         with pytest.warns(TruncationWarning):
@@ -270,6 +281,16 @@ class TestLinearStructure:
                 assert np.all(c.coeff(m)[9:] == c.tail(m))
                 assert not np.all(c.coeff(m)[3:] == c.tail(m))
 
+    def test_sum_reads_a_missing_mode_as_a_known_zero(self):
+        """A mode that one summand lacks, absent inside its range or outside
+        it, adds zero with a known tail 0: the other summand's declared tail
+        stays declared, and an undeclared tail stays undeclared."""
+        a = element(K, {-3: 1.0, 1: 2.0, 3: 4.0}, tails={-3: 1.0, 3: 4.0})
+        b = element(K, {0: 1.0, 1: 1.0}, tails={0: 5.0, 1: 1.0})
+        assert dict((a + b).tails) == dict((b + a).tails) == {-3: 1, 0: 5, 3: 4}
+        assert dict((a - b).tails) == {-3: 1, 0: -5, 3: 4}
+        assert (a - b).tail(1) is None and (a - b).coeff(1)[0] == 1.0
+
     def test_zero_element(self):
         z = zero(16)
         assert not z.modes
@@ -328,3 +349,33 @@ class TestStackedLayout:
         assert not np.any(a.coeff(0))
         with pytest.raises(ValueError, match="declared tail"):
             element(K, {0: 1.0}, tails={1: 1.0})
+
+
+def _gappy(rng, lo, hi, tail_start, k_valid):
+    """Random element over modes lo..hi with the row after lo absent and
+    about half of the present modes' tails declared."""
+    ms = [m for m in range(lo, hi + 1) if m in (lo, hi) or m != lo + 1]
+    rows = rng.standard_normal((len(ms), 2, K + 1))
+    tails = {m: complex(*rng.standard_normal(2)) for m in ms if rng.random() < 0.5}
+    return replace(element(K, dict(zip(ms, rows[:, 0] + 1j * rows[:, 1])), tails,
+                           tail_start), k_valid=k_valid)
+
+
+@pytest.mark.parametrize("range_a, range_b", [
+    ((-4, 4), (-4, 4)),   # the same range
+    ((-3, 2), (0, 5)),    # overlapping
+    ((-6, -3), (2, 4)),   # disjoint
+    ((-5, 5), (-1, 1)),   # nested
+    ((-1, 1), (-5, 5)),
+])
+def test_difference_is_the_sum_with_the_negated_element(rng, range_a, range_b):
+    """a - b equals a + (-1) b, the scaled sum, up to the sign of zero."""
+    for _ in range(5):
+        a = _gappy(rng, *range_a, tail_start=10, k_valid=K - 3)
+        b = _gappy(rng, *range_b, tail_start=20, k_valid=K - 1)
+        got, want = a - b, a + (-1.0) * b
+        assert (got.mode_lo, got.tail_start, got.k_valid) == (
+            want.mode_lo, want.tail_start, want.k_valid)
+        for name in ("coeffs", "tail_values", "present", "declared"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.present_modes == list(want.modes)

@@ -10,7 +10,7 @@ from qdisk import (BoundaryFunction, adjoint, apply_D, apply_Dbar, apply_Q,
                    norm_fourier, polar_split,
                    power_UB, quantum_disk_structure_check,
                    quantum_disk_weights, random_element, table_weights)
-from qdisk.ncops import _stencil
+from qdisk.ncops import _blocks, _stencil
 from qdisk.parametrix import _norm_bound
 from qdisk.weights import WeightPair
 
@@ -248,6 +248,20 @@ class TestBoundaryOperator:
             boundary_operator_check(BoundaryFunction({1: 1.0 + 0.0j}), w2,
                                     64, which)
 
+    @pytest.mark.parametrize("which", ["D", "Dbar"])
+    def test_recovery_fails_on_the_error_alone(self, w2, which):
+        """f = 1 on modes -4..4: at K = 256 the weights pass the
+        normalization check, but the window-mean error (0.087 under D,
+        0.070 under D̄) is above 0.05, so the recovery check fails; at
+        K = 512 (0.043 and 0.035) it passes."""
+        f = BoundaryFunction({m: 1.0 for m in range(-4, 5)})
+        coarse, fine = (boundary_operator_check(f, w2, k, which) for k in (256, 512))
+        assert coarse["normalized-difference-limit"].passed
+        assert coarse["boundary-derivative-recovery"].observed["max_error"] > 0.05
+        assert not coarse["boundary-derivative-recovery"].passed
+        assert fine["boundary-derivative-recovery"].observed["max_error"] < 0.05
+        assert fine["boundary-derivative-recovery"].passed
+
     def test_flags_weights_without_normalization(self, w1):
         """scale=1 weights converge to 1/2, not 1: flagged, not compared."""
         report = boundary_operator_check(BoundaryFunction({1: 1.0 + 0.0j}),
@@ -437,3 +451,30 @@ class TestModeByModeReference:
             scalar = tuple(_stencil(shift, m))
             assert scalar == tuple(field[i] for field in rows), m
             assert scalar == oracles.stencil_row(shift, m), m
+
+    @pytest.mark.filterwarnings("ignore::qdisk.TruncationWarning")
+    @pytest.mark.parametrize("lo, hi", [(-5, -1), (-3, 0), (0, 4), (1, 5),
+                                        (0, 0), (1, 1), (-1, -1), (-2, 2)])
+    def test_one_sided_mode_ranges_equal_the_per_mode_loops(self, rng, lo, hi):
+        """The kernels shift and sum the s = -1 rows as one block of the
+        range; ranges on one side of it, or at its ends, hit every cut."""
+        w, k_max = quantum_disk_weights(0.7), 32
+        x = random_element(rng, k_max, lo, hi, declared_tails=True,
+                           tail_start=k_max // 2)
+        for shift, apply, solve in ((+1, apply_D, apply_Q),
+                                    (-1, apply_Dbar, apply_Qbar)):
+            for got, want in ((apply(x, w), oracles.mode_by_mode_apply(x, w, shift)),
+                              (solve(x, w), oracles.mode_by_mode_solve(x, w, shift))):
+                assert list(got.modes) == sorted(want)
+                for m, row in want.items():
+                    assert got.coeff(m).tobytes() == row.tobytes(), (shift, m)
+
+    @pytest.mark.parametrize("shift", [+1, -1])
+    def test_s_minus_one_rows_are_the_block(self, shift):
+        for lo in range(-8, 9):
+            for hi in range(lo - 1, 9):
+                ms = np.arange(lo, hi + 1)
+                down, fwd = _blocks(shift, lo)
+                s = _stencil(shift, ms).s
+                np.testing.assert_array_equal(ms[down], ms[s < 0])
+                np.testing.assert_array_equal(ms[fwd], ms[s > 0])

@@ -415,7 +415,9 @@ def test_zero_border_row_counts_as_a_zero_row(wide):
         warnings.simplefilter("error")
         got = count_null_bidiagonal(diag, upper, rows, cols, rows,
                                     border=(np.array([0, 1]), np.zeros(2)))
-    assert got == count_null_dense(dense, rows)
+        oracle = count_null_two_queries(diag, upper, rows, cols, rows,
+                                        border=(np.array([0, 1]), np.zeros(2)))
+    assert got == count_null_dense(dense, rows) == oracle
     assert got.nullity == wide
 
 

@@ -7,6 +7,7 @@ from qdisk import (DecompositionError, TruncationWarning, adjoint, apply_D,
                    apply_Dbar, apply_Q, apply_Qbar, boundary_value_decomposition,
                    element, from_mode, identity, norm_bound_check, norm_fourier,
                    power_UB, random_element, u_power, zero)
+from qdisk.parametrix import _norm_bound
 
 K = 512
 
@@ -229,3 +230,12 @@ class TestBoundaryValueDecomposition:
         a = apply_Q(b0, w2)
         with pytest.raises(DecompositionError, match="residual"):
             boundary_value_decomposition(a, w2, tol=1e-18)
+
+
+def test_norm_bound_flag_reads_the_bound(w2):
+    """The flag is the inequality ||Qb|| <= C ||b|| itself: False at twice
+    the bound, True on it."""
+    constant, _ = _norm_bound(0.0, 1.0, w2, K)
+    assert constant > 0.0
+    assert _norm_bound(2.0 * constant * 3.0, 3.0, w2, K) == (constant, False)
+    assert _norm_bound(constant * 3.0, 3.0, w2, K) == (constant, True)
