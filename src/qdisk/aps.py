@@ -29,7 +29,7 @@ import numpy as np
 
 from .element import BoundaryFunction, ToeplitzElement
 from .ncops import _stencil, _table
-from .nullity import NullCount, count_null_bidiagonal
+from .nullity import NullCount, count_null_stack
 from .parametrix import _forced_boundary_values, apply_Q
 from .report import IllConditionedError
 from .weights import WeightPair, _validate_weights
@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 OBSTRUCTION_TOL = 1e-8
+# Golub-Kahan entries (rows + cols <= 2 k_max + 2 per system) of one stack.
+# Stacking saves a fixed cost per system worth a few thousand entries, so
+# 2^15 keeps most of it with a stack's arrays near 1 MiB; with no bound the
+# K = 100000 sweep peaked at 96 MiB, not 75.  From k_max = 8192 on: 1 each.
+STACK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,13 @@ def index_analytic(p: APSProjection) -> IndexCounts:
     return IndexCounts(dim_ker, dim_coker, dim_ker - dim_coker)
 
 
-def _mode_bands(w: WeightPair, a: int, k_max: int, window: int,
+def _mode_bands(w: WeightPair, a: int | list[int], k_max: int, window: int,
                 constrained: bool):
     """Stencil bracket at signed index a, rows k <= k_max, as the arguments
     (diag, upper, rows, cols, border) of ``count_null_bidiagonal``: D at
     mode a, and minus D̄ at mode -a, up to the positive row factor A(k+p).
+    For an array of indices of one sign the bands are the rows of
+    (systems, band length) arrays, one per index, for ``count_null_stack``.
 
     A square lower-bidiagonal system (s = -1) is reversed in rows and
     columns, which keeps every row (so the row equilibration) and makes it
@@ -93,14 +100,16 @@ def _mode_bands(w: WeightPair, a: int, k_max: int, window: int,
     tail-window mean, entries 1/sqrt(window): the unit row that
     equilibration makes of it.
     """
-    st = _stencil(+1, a)
-    _, b, _ = _table(w, k_max, k_max + abs(a) + 1)  # b[k + 1] = B(k)
-    on_c, on_next = b[st.q + 1 + st.n:][:k_max + 1], b[st.q + 1:][:k_max + 1]
+    a = np.asarray(a)
+    st = _stencil(+1, a[..., None])
+    _, b, _ = _table(w, k_max, k_max + int(np.abs(a).max()) + 1)  # b[k + 1] = B(k)
+    ks = np.arange(k_max + 1)
+    on_c, on_next = b[st.q + 1 + st.n + ks], b[st.q + 1 + ks]
     tail = np.arange(k_max - window + 1, k_max + 1)
-    if st.s > 0:
-        diag, upper, rows = on_c[:-1], -on_next[:-1], k_max
+    if a.min() >= 0:
+        diag, upper, rows = on_c[..., :-1], -on_next[..., :-1], k_max
     else:
-        diag, upper, rows = -on_c[::-1], on_next[:0:-1], k_max + 1
+        diag, upper, rows = -on_c[..., ::-1], on_next[..., :0:-1], k_max + 1
         tail = k_max - tail
     border = (tail, np.full(window, window ** -0.5)) if constrained else None
     return diag, upper, rows, k_max + 1, border
@@ -122,28 +131,30 @@ class NumericIndex:
 
 
 def _sweep(p: APSProjection, cache: dict | None,
-           count: Callable[[int, bool], NullCount]) -> NumericIndex:
+           count: Callable[[list], list[NullCount]]) -> NumericIndex:
     """Index from per-mode null counts, shared by ``index_numeric`` and
     ``classical.index_classical``, over modes -|N|-4..|N|+4.
 
     Mode m enters the kernel as system a = m, constrained iff m > cutoff,
     and the cokernel as system a = -m, constrained iff m <= cutoff + 1.
-    ``cache`` maps (a, constrained) to ``count(a, constrained)``, one entry
-    per distinct system; ``per_mode`` lists every (side, mode).
+    ``cache`` maps (a, constrained) to its null count, one entry per
+    distinct system; the keys it lacks go, in sweep order, to one call
+    ``count(keys)``, which returns their counts.  ``per_mode`` lists every
+    (side, mode).
     """
     n, reach = p.cutoff, _reach(p)
     cache = {} if cache is None else cache
+    jobs = [(side, m, (a, constrained)) for m in range(-reach, reach + 1)
+            for side, a, constrained in (("ker", m, m > n), ("coker", -m, m <= n + 1))]
+    missing = list(dict.fromkeys(key for _, _, key in jobs if key not in cache))
+    cache.update(zip(missing, count(missing)))
     per_mode = []
     dims = {"ker": 0, "coker": 0}
-    for m in range(-reach, reach + 1):
-        for side, a, constrained in (("ker", m, m > n),
-                                     ("coker", -m, m <= n + 1)):
-            if (a, constrained) not in cache:
-                cache[a, constrained] = count(a, constrained)
-            res = cache[a, constrained]
-            per_mode.append({"side": side, "mode": m, "constrained": constrained,
-                             "nullity": res.nullity, "threshold": res.threshold})
-            dims[side] += res.nullity
+    for side, m, (a, constrained) in jobs:
+        res = cache[a, constrained]
+        per_mode.append({"side": side, "mode": m, "constrained": constrained,
+                         "nullity": res.nullity, "threshold": res.threshold})
+        dims[side] += res.nullity
     analytic = index_analytic(p)
     counts = (dims["ker"], dims["coker"], dims["ker"] - dims["coker"])
     return NumericIndex(*counts, analytic, counts == tuple(analytic), per_mode)
@@ -158,9 +169,12 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
     raise IllConditionedError).  ``cache`` may be shared across calls with
     the same weights/k_max to reuse per-(a, constrained) counts during
     sweeps: the kernel system at mode m and the cokernel system at mode -m
-    differ only by sign.  The weights are checked first over every k the
-    systems read, k <= k_max + max |a| + 1: A finite and positive, B in
-    (0, 1) and strictly increasing, or ValueError naming the first bad k.
+    differ only by sign.  The systems it lacks are counted in one call, as
+    stacks of one sign (``count_null_stack``, within ``STACK_ENTRIES``), one
+    row per index a, bordered where constrained.  The weights are checked
+    over every k the systems read, k <= k_max + max |a| + 1, once per extent
+    (the memo keeps the last k checked): A finite and positive, B in (0, 1)
+    and strictly increasing, or ValueError naming the first bad k.
     """
     window = k_max // 16
     if window < 8:
@@ -169,11 +183,21 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
             f"criterion (needs k_max >= 128)")
     k_hi = k_max + _reach(p) + 1
     a_tab, b_tab, _ = _table(w, k_max, k_hi)  # b_tab[k + 1] = B(k)
-    _validate_weights(a_tab[: k_hi + 1], b_tab[1: k_hi + 2])
+    if w.memo.get("valid_to", -1) < k_hi:  # the memo is per k_max
+        _validate_weights(a_tab[: k_hi + 1], b_tab[1: k_hi + 2])
+        w.memo["valid_to"] = k_hi
 
-    def count(a: int, constrained: bool) -> NullCount:
-        *bands, border = _mode_bands(w, a, k_max, window, constrained)
-        return count_null_bidiagonal(*bands, k_max, border=border)
+    def count(keys: list) -> list[NullCount]:
+        counts, per = {}, max(1, STACK_ENTRIES // (2 * k_max + 2))
+        for up in (True, False):
+            systems = list(dict.fromkeys(a for a, _ in keys if (a >= 0) == up))
+            for i in range(0, len(systems), per):
+                row = {a: j for j, a in enumerate(systems[i: i + per])}
+                *bands, border = _mode_bands(w, list(row), k_max, window, True)
+                asked = [key for key in keys if key[0] in row]
+                counts.update(zip(asked, count_null_stack(
+                    *bands, k_max, [(row[a], c) for a, c in asked], border=border)))
+        return [counts[key] for key in keys]
 
     return _sweep(p, cache, count)
 

@@ -189,5 +189,5 @@ def index_classical(p: APSProjection, m_points: int = 2048,
     mode.  ``cache`` maps (a, constrained) to its null count, one entry per
     distinct system; ``per_mode`` still lists every (side, mode).
     """
-    return _sweep(p, cache,
-                  lambda a, constrained: _mode_nullity(a, constrained, m_points))
+    return _sweep(p, cache, lambda keys: [_mode_nullity(a, constrained, m_points)
+                                          for a, constrained in keys])

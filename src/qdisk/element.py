@@ -138,31 +138,40 @@ class ToeplitzElement:
 
     # -- linear structure ---------------------------------------------------
 
-    def _spanning(self, lo: int, rows: int) -> "ToeplitzElement":
-        """The element over modes lo..lo+rows-1 (absent rows added), or itself."""
+    def _spanning(self, lo: int, rows: int) -> tuple[np.ndarray, ...]:
+        """present, tail_values, declared over modes lo..lo+rows-1, 0-padded."""
+        parts = (self.present, self.tail_values, self.declared)
         if (self.mode_lo, len(self.coeffs)) == (lo, rows):
-            return self
-        parts = (self.coeffs, self.present, self.tail_values, self.declared)
-        wide = [np.zeros((rows, *x.shape[1:]), x.dtype) for x in parts]
+            return parts
+        wide = [np.zeros(rows, x.dtype) for x in parts]
         for full, part in zip(wide, parts):
             full[self.mode_lo - lo: self.mode_hi - lo + 1] = part
-        return ToeplitzElement(self.k_max, lo, *wide)
+        return wide
 
     def _combine(self, other: "ToeplitzElement", op) -> "ToeplitzElement":
-        """self + other (op np.add) or self - other (np.subtract), one ufunc
-        call over the union of the mode ranges (absent rows are 0, tail 0)."""
+        """self + other (op np.add) or self - other (np.subtract) over the
+        union of the mode ranges: one op call, or one into the output per run
+        of rows, a missing operand read as 0.0 (zeros keep op's signs)."""
         if not isinstance(other, ToeplitzElement):
             return NotImplemented
         if other.k_max != self.k_max:
             raise ValueError("elements must share k_max")
         lo = min(self.mode_lo, other.mode_lo)
-        x, y = (e._spanning(lo, max(self.mode_hi, other.mode_hi) - lo + 1)
-                for e in (self, other))
-        known = (x.declared | ~x.present) & (y.declared | ~y.present)
-        return ToeplitzElement(self.k_max, lo, op(x.coeffs, y.coeffs),
-                               x.present | y.present,
-                               np.where(known, op(x.tail_values, y.tail_values), 0),
-                               known & (x.present | y.present),
+        xl, yl = self.mode_lo - lo, other.mode_lo - lo
+        xh, yh = xl + len(self.coeffs), yl + len(other.coeffs)
+        rows = max(xh, yh)
+        if (xl, xh) == (yl, yh):
+            coeffs = op(self.coeffs, other.coeffs)
+        else:
+            coeffs = np.empty((rows, self.k_max + 1), complex)
+            cuts = sorted({xl, xh, yl, yh})  # from 0 to rows
+            for p, q in zip(cuts, cuts[1:]):
+                op(self.coeffs[p - xl: q - xl] if xl <= p < xh else 0.0,
+                   other.coeffs[p - yl: q - yl] if yl <= p < yh else 0.0, out=coeffs[p: q])
+        (xp, xt, xd), (yp, yt, yd) = (e._spanning(lo, rows) for e in (self, other))
+        known = (xd | ~xp) & (yd | ~yp)
+        return ToeplitzElement(self.k_max, lo, coeffs, xp | yp,
+                               np.where(known, op(xt, yt), 0), known & (xp | yp),
                                max(self.tail_start, other.tail_start),
                                min(self.k_valid, other.k_valid))
 

@@ -41,7 +41,14 @@ Two routes:
   at GAP_RATIO * tau, comes first: the structural zeros are exact
   eigenvalues of any zero-diagonal T and the counts are monotone, so
   structural <= count(tau) <= count(GAP_RATIO * tau): if it finds only
-  those zeros, tau is not asked.
+  those zeros, tau is not asked.  Systems of one shape count as a stack:
+  row j of one buffer holds T_j's off-diagonal, then a zero, so the flat
+  buffer is the stack's block-diagonal T.  After a zero E2 the Sturm step
+  D(J) - E2(J-1)/q - t is exactly -t, a fresh block's first step, so one
+  gap query counts the exact sum of the blocks' counts; each is at least
+  its structural zeros, so a total of their sum puts all at the minimum.
+  Else, or if their PIVMIN may differ, each T_j is asked alone; borders
+  and tau stay per system.  aps.STACK_ENTRIES caps a stack's memory.
 * dense: scipy svdvals on the full matrix, O(K^3) — a test oracle, kept
   here only because the benchmark ladder imports it from this module.
 """
@@ -57,7 +64,8 @@ from scipy.linalg.lapack import dgtsv
 
 from .report import IllConditionedError
 
-__all__ = ["NullCount", "count_null_dense", "count_null_bidiagonal"]
+__all__ = ["NullCount", "count_null_dense", "count_null_bidiagonal",
+           "count_null_stack"]
 
 THRESHOLD_SCALE = 1e-6
 GAP_RATIO = 100.0
@@ -101,17 +109,6 @@ def count_null_dense(matrix: np.ndarray, scale_dim: int) -> NullCount:
     _check_band(in_band, threshold)
     structural = max(cols - rows, 0)
     return NullCount(below + structural, threshold, below, structural)
-
-
-def _interleaved_offdiagonal(diag: np.ndarray, upper: np.ndarray,
-                             rows: int, cols: int) -> np.ndarray:
-    """Off-diagonal of the Golub-Kahan tridiagonal of an upper-bidiagonal
-    rows x cols matrix with entries A[j,j] = diag[j], A[j,j+1] = upper[j]."""
-    size = rows + cols
-    off = np.zeros(size - 1)
-    off[0: 2 * len(diag): 2] = diag
-    off[1: 1 + 2 * len(upper): 2] = upper
-    return off
 
 
 # DLAEBZ(IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E,
@@ -190,71 +187,85 @@ def count_null_bidiagonal(diag: np.ndarray, upper: np.ndarray, rows: int,
                           unknowns: int | None = None,
                           border: tuple[np.ndarray, np.ndarray] | None = None
                           ) -> NullCount:
-    """Null count of an upper-bidiagonal rows x cols matrix B (cols in
-    {rows, rows+1}) via Sturm counts on the interleaved tridiagonal T.
+    """Null count of an upper-bidiagonal rows x cols matrix B, bordered by
+    ``border`` if it is given: ``count_null_stack`` of the stack of one."""
+    return count_null_stack(np.asarray(diag)[None], np.asarray(upper)[None], rows,
+                            cols, scale_dim, [(0, border is not None)], unknowns,
+                            border)[0]
 
-    Eigenvalues of T come in ±sigma pairs plus |rows - cols| structural
-    zeros, so the count of eigenvalues in [-t, t] is
-    2 * #{sigma <= t} + |rows - cols|.  The threshold is the fixed one of
-    the module notes.  A count is one Sturm pass on T at GAP_RATIO * tau,
-    plus one at tau only when the first finds more than the structural
-    zeros (module notes); no eigenvalue is computed.  E2 and PIVMIN are
-    derived once per system.  A NaN or inf in ``diag``, ``upper`` or the
-    border values raises ValueError before any query.
 
-    ``unknowns`` is the column count of the system whose null space is
-    wanted; pass the original one when the matrix handed in is a transpose
-    (singular values agree, the structural nullity does not).
+def count_null_stack(diag: np.ndarray, upper: np.ndarray, rows: int, cols: int,
+                     scale_dim: int, requests: list[tuple[int, bool]],
+                     unknowns: int | None = None,
+                     border: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> list[NullCount]:
+    """Null counts of a stack of upper-bidiagonal rows x cols matrices B_j
+    (cols in {rows, rows+1}), B_j's bands in row j of ``diag`` and
+    ``upper``: one ``NullCount`` per request (j, bordered), in order.
 
-    ``border = (indices, values)`` appends one dense row with those entries
-    on the column (unknowns') side; the count in [-t, t] becomes
-    count_T + 1 - 2 [s(t) >= 0], s the Schur complement of the module notes.
+    The count in [-t, t] of T_j, the Golub-Kahan tridiagonal of B_j, is
+    2 * #{sigma <= t} + |rows - cols|.  ``border = (indices, values)`` is a
+    dense row on the column side, appended to B_j when ``bordered``; the
+    count becomes count_T + 1 - 2 [s(t) >= 0], s the Schur complement.
+    Threshold, stacked gap pass, tau pass and band check: module notes.  A
+    NaN or inf in the bands or border raises ValueError before any query.
+    ``unknowns`` is the column count of the systems whose null space is
+    wanted; pass the original for transposes (same singular values).
     """
     if cols not in (rows, rows + 1):
         raise ValueError("bidiagonal route expects cols in {rows, rows+1}")
-    if len(diag) != min(rows, cols) or len(upper) != min(rows, cols - 1):
+    n_d, n_u = min(rows, cols), min(rows, cols - 1)
+    if diag.shape[1:] != (n_d,) or upper.shape != (len(diag), n_u):
         raise ValueError("inconsistent bidiagonal band lengths")
     if border is not None and not np.isfinite(border[1]).all():
         raise ValueError("non-finite entries in border")
-    if unknowns is None:
-        unknowns = cols
-    scale = np.hypot(diag, np.concatenate([upper, np.zeros(len(diag) - len(upper))]))
+    unknowns = cols if unknowns is None else unknowns
+    size, systems = rows + cols, len(diag)
+    scale = np.abs(diag)  # hypot(d, 0) in the last column of a square system
+    np.hypot(diag[:, :n_u], upper, out=scale[:, :n_u])
     if not np.isfinite(scale).all():  # as is any NaN or inf in diag or upper
         for name, values in (("diag", diag), ("upper", upper)):
             if not np.isfinite(values).all():
                 raise ValueError(f"non-finite entries in {name}")
     scale[scale == 0.0] = 1.0
-    diag = diag / scale
-    upper = upper / scale[: len(upper)]
-
-    off = _interleaved_offdiagonal(diag, upper, rows, cols)
-    size = rows + cols
-    sturm = _sturm_inputs(off)
-
-    def _count(t: float) -> int:
-        count = _count_within(*sturm, t)
-        if border is not None:
-            s = -t - vals @ _shifted_solve(off, w, t)[idx]
-            count += 1 if s < 0.0 else -1
-        if count < structural or (count - structural) % 2:
-            raise IllConditionedError(
-                f"eigenvalue count {count} at t={t:.3e} is below the "
-                f"{structural} structural zero(s) or has the wrong parity")
-        return count
-
+    # row j: the off-diagonal of T_j, then the zero that joins it to T_{j+1}
+    off = np.zeros((systems, size))
+    np.divide(diag, scale, out=off[:, 0: 2 * n_d: 2])
+    np.divide(upper, scale[:, :n_u], out=off[:, 1: 2 * n_u: 2])
     if border is not None:
         idx = 2 * np.asarray(border[0])
         vals = border[1] / (np.linalg.norm(border[1]) or 1.0)
         w = np.zeros(size)
         w[idx] = vals
-        rows += 1
 
     threshold = _threshold(scale_dim)
-    structural = abs(rows - cols)
-    n_band = _count(GAP_RATIO * threshold)
-    # structural <= n_t <= n_band (module notes)
-    n_t = structural if n_band == structural else _count(threshold)
-    _check_band((n_band - n_t) // 2, threshold)
-    below = (n_t - structural) // 2
-    extra = unknowns - min(rows, cols)
-    return NullCount(below + extra, threshold, below, extra)
+    gap, floor = GAP_RATIO * threshold, abs(rows - cols)
+    d, e2, pivmin = _sturm_inputs(off.reshape(-1)[:-1])
+    # each T_j's PIVMIN, tiny * max(1, its max E2), is at most the stack's:
+    # when that is tiny, all equal it and the stack's count is their sum
+    total = _count_within(d, e2, pivmin, gap) if systems == 1 or pivmin == _TINY else None
+    at_gap = ([total] if systems == 1 else [floor] * systems if total == floor * systems
+              else [_count_within(*_sturm_inputs(row[:-1]), gap) for row in off])
+    out = []
+    for j, bordered in requests:
+        structural = abs(rows + bordered - cols)
+
+        def count(n: int, t: float) -> int:  # n: the count of T_j in [-t, t]
+            if bordered:
+                s = -t - vals @ _shifted_solve(off[j, :-1], w, t)[idx]
+                n += 1 if s < 0.0 else -1
+            if n < structural or (n - structural) % 2:
+                raise IllConditionedError(
+                    f"eigenvalue count {n} at t={t:.3e} is below the "
+                    f"{structural} structural zero(s) or has the wrong parity")
+            return n
+
+        n_band = count(at_gap[j], gap)
+        # structural <= n_t <= n_band (module notes)
+        n_t = structural if n_band == structural else count(
+            _count_within(*_sturm_inputs(off[j, :-1]), threshold), threshold)
+        _check_band((n_band - n_t) // 2, threshold)
+        below = (n_t - structural) // 2
+        extra = unknowns - min(rows + bordered, cols)
+        out.append(NullCount(below + extra, threshold, below, extra))
+    return out

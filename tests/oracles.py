@@ -2,12 +2,13 @@
 
 They live with the tests because the library never runs them: the l2 matrix
 picture of an element (``to_matrix``, the oracle for every algebraic
-identity) and the dense quantum-disk structure check built on it, the trace
+identity), the mode-by-mode sum and difference of two elements and the dense quantum-disk structure check built on it, the trace
 route of the Hilbert pairing, which builds two dense (K+1) x (K+1) matrices,
 the dense matrix of an APS mode system, which exists only to be counted
 by SVD against the structured null count, the dstebz Sturm count that the
 production DLAEBZ count must equal, and the two-query structured count on
-top of it that the gap-first count must equal field for field.
+top of it, one system at a time, that the gap-first stacked count must
+equal field for field.
 """
 
 import warnings
@@ -16,8 +17,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dstebz
 
-from qdisk import (TruncationWarning, adjoint, apply_D, apply_Dbar, power_UB,
-                   quantum_disk_weights)
+from qdisk import (ToeplitzElement, TruncationWarning, adjoint, apply_D,
+                   apply_Dbar, power_UB, quantum_disk_weights)
 from qdisk import nullity
 from qdisk.aps import _mode_bands
 
@@ -46,6 +47,23 @@ def to_matrix(a, dim: int) -> np.ndarray:
 def support_max(a) -> float:
     """Largest |coefficient| stored at k = k_max (truncation-edge size)."""
     return float(np.max(np.abs(a.coeffs[a.present, -1]), initial=0.0))
+
+
+def combined_by_modes(a, b, op):
+    """a + b (op np.add) or a - b (np.subtract) mode by mode over the union
+    of the mode ranges: an absent mode reads as a zero row with a known
+    tail 0, on both operands."""
+    lo, hi = min(a.mode_lo, b.mode_lo), max(a.mode_hi, b.mode_hi)
+    modes = range(lo, hi + 1)
+    coeffs = np.array([op(a.coeff(m), b.coeff(m)) for m in modes])
+    present = np.array([a._row(m) is not None or b._row(m) is not None for m in modes])
+    tails = [(a.tail(m), b.tail(m)) for m in modes]
+    known = np.array([ta is not None and tb is not None for ta, tb in tails])
+    values = np.array([op(complex(ta), complex(tb)) if k else 0j
+                       for (ta, tb), k in zip(tails, known)])
+    return ToeplitzElement(a.k_max, lo, coeffs, present, values, known & present,
+                           max(a.tail_start, b.tail_start),
+                           min(a.k_valid, b.k_valid))
 
 
 def structure_check_dense(mu: float, k_max: int) -> list[dict]:
@@ -146,6 +164,18 @@ def count_within_dstebz(zeros, off, t):
     return count
 
 
+def equilibrated_offdiagonal(diag, upper, rows, cols):
+    """Off-diagonal of the Golub-Kahan tridiagonal of the row-equilibrated
+    upper-bidiagonal rows x cols matrix with entries A[j,j] = diag[j],
+    A[j,j+1] = upper[j], one system at a time."""
+    scale = np.hypot(diag, np.concatenate([upper, np.zeros(len(diag) - len(upper))]))
+    scale[scale == 0.0] = 1.0
+    off = np.zeros(rows + cols - 1)
+    off[0: 2 * len(diag): 2] = diag / scale
+    off[1: 1 + 2 * len(upper): 2] = upper / scale[: len(upper)]
+    return off
+
+
 def count_null_two_queries(diag, upper, rows, cols, scale_dim,
                            unknowns=None, border=None):
     """``count_null_bidiagonal`` as two dstebz Sturm queries, at tau and
@@ -153,11 +183,7 @@ def count_null_two_queries(diag, upper, rows, cols, scale_dim,
     check of the count at tau."""
     if unknowns is None:
         unknowns = cols
-    scale = np.hypot(diag, np.concatenate([upper, np.zeros(len(diag) - len(upper))]))
-    scale[scale == 0.0] = 1.0
-    diag = diag / scale
-    upper = upper / scale[: len(upper)]
-    off = nullity._interleaved_offdiagonal(diag, upper, rows, cols)
+    off = equilibrated_offdiagonal(diag, upper, rows, cols)
     size = rows + cols
     zeros = np.zeros(size)
 

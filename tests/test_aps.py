@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdisk import aps
 from qdisk import (APSProjection, BoundaryFunction, IllConditionedError,
                    apply_D, apply_Q, boundary_pairing, custom_weights,
                    element, extend, index_analytic, index_numeric,
-                   norm_fourier, power_UB, project, random_element, restrict,
-                   solve_aps)
+                   norm_fourier, power_UB, project, quantum_disk_weights,
+                   random_element, restrict, solve_aps)
 
 
 class TestProjection:
@@ -105,6 +106,29 @@ class TestNumericIndex:
         with pytest.raises(ValueError,
                            match="finite and positive; it fails first at k=1806"):
             index_numeric(w, APSProjection(0), 4096)
+
+    def test_weights_are_checked_again_only_for_a_wider_extent(self,
+                                                               monkeypatch):
+        """The quantum-disk B set to 1 from k = 137 on: at K = 128 the sweep
+        reads k <= 133 + |N|, so N = 0..3 pass and N = 4 raises, naming
+        k = 137, whether the cutoffs share a cache or not.  A sweep from
+        N = 6 down checks the weights once, at its widest extent."""
+        qd = quantum_disk_weights(1.0, 2.0)
+        w = custom_weights(qd.a_at, lambda k: np.where(np.asarray(k) >= 137, 1.0,
+                                                       qd.b_at(k)), validate=False)
+        for cache in ({}, None):
+            for n in range(4):
+                assert index_numeric(w, APSProjection(n), 128,
+                                     cache=cache).matches_analytic
+            with pytest.raises(ValueError, match="stay below 1; it fails first at k=137"):
+                index_numeric(w, APSProjection(4), 128, cache=cache)
+        checks = []
+        validate = aps._validate_weights
+        monkeypatch.setattr(aps, "_validate_weights",
+                            lambda *args: checks.append(1) or validate(*args))
+        for n in range(6, -7, -1):
+            index_numeric(qd, APSProjection(n), 128)
+        assert len(checks) == 1
 
     def test_shared_cache_matches_fresh_cache(self, w2):
         """The cache holds one count per (a, constrained) system, shared by

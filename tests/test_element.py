@@ -10,7 +10,7 @@ from qdisk import (BoundaryFunction, ToeplitzElement, TruncationWarning,
                    adjoint, apply_D, element, extend, from_mode, identity,
                    multiply, power_UB, random_element, restrict, u_power,
                    ustar_power, zero)
-from oracles import to_matrix
+from oracles import combined_by_modes, to_matrix
 
 K = 64
 
@@ -100,6 +100,20 @@ class TestMultiply:
             multiply(identity(8), identity(16))
 
 
+    def test_product_tail_starts_after_the_mode_spread(self):
+        """A product's tail is declared from the later tail_start plus the
+        mode spread on: g_1 = 1 from k = 5 on times f_1 = 2 from k = 3 on
+        has mode 0 equal to its tail 2 from k = 6 on in one order and from
+        k = 5 in the other, so neither may declare it before k = 5 + 2."""
+        ks = np.arange(K + 1)
+        a = element(K, {1: 1.0 * (ks >= 5)}, tails={1: 1.0}, tail_start=5)
+        b = element(K, {-1: 2.0 * (ks >= 3)}, tails={-1: 2.0}, tail_start=3)
+        for prod in (multiply(a, b), multiply(b, a)):
+            assert prod.tail_start == 7 and prod.tail(0) == 2.0
+            assert np.all(prod.coeff(0)[7: prod.k_valid + 1] == 2.0)
+        assert multiply(a, b).coeff(0)[5] == 0.0
+
+
 class TestAdjoint:
     def test_shift_pair(self):
         assert np.array_equal(adjoint(u_power(1, K)).coeff(-1),
@@ -187,6 +201,18 @@ class TestRestrictExtend:
         the mean and the spread are both 15/4, exactly."""
         ks = np.arange(K + 1)
         a = replace(from_mode(3, 0.5 * (ks - 40), K), k_valid=55)
+        f = restrict(a)
+        assert f.coeff(3) == 3.75
+        assert f.variation[3] == 3.75
+
+    def test_declared_tail_past_k_valid_is_not_exact(self):
+        """A declared tail that starts after k_valid says nothing about the
+        valid coefficients: restrict takes their window mean as the value,
+        with its spread as the variation, as for an undeclared tail (the
+        ramp of test_variation_is_the_window_spread)."""
+        ks = np.arange(K + 1)
+        a = replace(from_mode(3, 0.5 * (ks - 40), K, tail=9.0), k_valid=55,
+                    tail_start=60)
         f = restrict(a)
         assert f.coeff(3) == 3.75
         assert f.variation[3] == 3.75
@@ -379,3 +405,36 @@ def test_difference_is_the_sum_with_the_negated_element(rng, range_a, range_b):
         for name in ("coeffs", "tail_values", "present", "declared"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.present_modes == list(want.modes)
+
+
+@pytest.mark.parametrize("range_a, range_b", [
+    ((-6, 6), (-2, 3)),   # nested
+    ((-2, 3), (-6, 6)),
+    ((-3, 2), (0, 5)),    # overlapping
+    ((0, 5), (-3, 2)),
+    ((-6, -3), (2, 4)),   # disjoint, with a gap
+    ((2, 4), (-6, -3)),
+    ((-2, 0), (1, 3)),    # adjacent
+    ((-3, 2), (-3, 5)),   # one end shared
+    ((1, 1), (1, 1)),     # the same range
+])
+@pytest.mark.parametrize("op", ["+", "-"])
+def test_sum_and_difference_are_the_mode_by_mode_ones(rng, range_a, range_b, op):
+    """a + b and a - b over any two mode ranges, bit for bit (signs of zeros
+    included) the per-mode ufunc over the union, absent modes read as
+    zero rows, with the masks and tails of the padded operands."""
+    for _ in range(3):
+        a = _gappy(rng, *range_a, tail_start=10, k_valid=K - 3)
+        b = _gappy(rng, *range_b, tail_start=20, k_valid=K - 1)
+        signed = a.coeffs.copy()
+        signed[a.present[:, None] & (rng.random(signed.shape) < 0.3)] = -0.0
+        a = replace(a, coeffs=signed)
+        got = a + b if op == "+" else a - b
+        want = combined_by_modes(a, b, np.add if op == "+" else np.subtract)
+        assert (got.mode_lo, got.tail_start, got.k_valid) == (
+            want.mode_lo, want.tail_start, want.k_valid)
+        for name in ("coeffs", "tail_values"):
+            assert (getattr(got, name).view(np.uint64).tobytes()
+                    == getattr(want, name).view(np.uint64).tobytes()), name
+        for name in ("present", "declared"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -32,12 +32,14 @@ from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, svdvals
 
 from qdisk import (APSProjection, IllConditionedError, element,
                    apply_D, apply_Dbar, index_numeric, quantum_disk_weights)
-from qdisk import classical, nullity
+from qdisk import aps, classical, nullity
 from qdisk.aps import _mode_bands
 from qdisk.classical import _mode_nullity, index_classical
 from qdisk.cli import main
-from qdisk.nullity import count_null_bidiagonal, count_null_dense
-from oracles import count_null_two_queries, count_within_dstebz, mode_matrix
+from qdisk.nullity import (count_null_bidiagonal, count_null_dense,
+                           count_null_stack)
+from oracles import (count_null_two_queries, count_within_dstebz,
+                     equilibrated_offdiagonal, mode_matrix)
 
 
 def _top_sigma(matrix):
@@ -201,19 +203,188 @@ def test_zero_pivot_at_a_split_is_guarded():
     assert count_within_dstebz(np.zeros(4), off, 0.5) == 3
 
 
-@pytest.mark.parametrize("index", [
-    partial(index_classical, m_points=16384),
-    partial(index_numeric, quantum_disk_weights(0.7, 2.0), k_max=512),
+@pytest.mark.parametrize("index, queries", [
+    (partial(index_classical, m_points=16384), 35),
+    (partial(index_numeric, quantum_disk_weights(0.7, 2.0), k_max=512), 6),
 ], ids=["classical-grid-16384", "nc-K-512"])
-def test_sweep_asks_one_query_per_system(monkeypatch, index):
-    """Every system of both sweeps has no singular value below the gap
-    threshold, so each of the 35 counts is the gap query alone."""
+def test_sweep_asks_one_query_per_system(monkeypatch, index, queries):
+    """No system of either sweep has a singular value below the gap
+    threshold, so every count is the gap query alone: one per system on
+    the classical grid, whose 35 systems each fill a stack, and one per
+    stack at K = 512, where the 35 systems are 21 stencils counted in six
+    stacks, of 11 and 10 at N = -6 and of one per sign at N = 5 and 6."""
     calls = _count_queries(monkeypatch)
     cache = {}
     for n in range(-6, 7):
         assert index(p=APSProjection(n), cache=cache).index == n + 1
     assert len(cache) == 35
-    assert len(calls) == 35
+    assert len(calls) == queries
+
+
+def _sweep_stack(w, k_max, up, sign=1.0):
+    """The sweep's systems with a >= 0 (up) or a < 0 as one stack: its four
+    band arguments (negated for sign -1), its border, the (a, constrained)
+    jobs and their (row, bordered) requests, one row per distinct a."""
+    jobs = [(a, c) for a, c in _sweep_jobs() if (a >= 0) == up]
+    systems = sorted({a for a, _ in jobs})
+    diag, upper, rows, cols, border = _mode_bands(w, systems, k_max,
+                                                  k_max // 16, True)
+    return ((sign * diag, sign * upper, rows, cols), border, jobs,
+            [(systems.index(a), c) for a, c in jobs])
+
+
+@pytest.mark.parametrize("k_max", [128, 512, 4096])
+@pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
+def test_stack_counts_equal_the_per_system_counts(k_max, mu):
+    """The sweep's systems of each sign of a, as one stack and negated too:
+    every count equals that of ``count_null_bidiagonal`` and of the
+    two-query oracle on the system alone."""
+    w = quantum_disk_weights(mu, 2.0)
+    for up in (True, False):
+        for sign in (1.0, -1.0):
+            bands, border, jobs, requests = _sweep_stack(w, k_max, up, sign)
+            got = count_null_stack(*bands, k_max, requests, border=border)
+            assert len(got) == len(jobs)
+            for (a, c), res in zip(jobs, got):
+                diag, upper, rows, cols, b = _mode_bands(w, a, k_max,
+                                                         k_max // 16, c)
+                args = (sign * diag, sign * upper, rows, cols, k_max)
+                assert res == count_null_bidiagonal(*args, border=b), (a, c, sign)
+                assert res == count_null_two_queries(*args, border=b), (a, c, sign)
+
+
+@pytest.mark.parametrize("mu", [0.3, 1.0])
+@pytest.mark.parametrize("up", [True, False])
+def test_stacked_rows_are_the_per_system_rows(mu, up, monkeypatch):
+    """Stacked bands are the per-index bands, and the stack's Sturm input is
+    the per-system equilibrated Golub-Kahan off-diagonals joined by zeros,
+    all bit for bit."""
+    w, k_max = quantum_disk_weights(mu, 2.0), 128
+    bands, border, _, requests = _sweep_stack(w, k_max, up)
+    systems = sorted({a for a, _ in _sweep_jobs() if (a >= 0) == up})
+    offs = _counted_offdiagonals(monkeypatch, lambda: count_null_stack(
+        *bands, k_max, requests, border=border))
+    size = bands[2] + bands[3]
+    stacked = np.append(offs[0], 0.0).reshape(len(systems), size)
+    assert not stacked[:, -1].any()
+    for j, a in enumerate(systems):
+        diag, upper, rows, cols, _ = _mode_bands(w, a, k_max, k_max // 16, False)
+        for got, want in ((bands[0][j], diag), (bands[1][j], upper),
+                          (stacked[j, :-1],
+                           equilibrated_offdiagonal(diag, upper, rows, cols))):
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), a
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
+def test_count_within_equals_dstebz_on_the_sweep_stacks(mu, monkeypatch):
+    """dstebz counts each zero-joined stack of the K = 512 sweep as one
+    block-diagonal tridiagonal, as the stacked query does."""
+    w, cache = quantum_disk_weights(mu, 2.0), {}
+    offs = _counted_offdiagonals(monkeypatch, lambda: [
+        index_numeric(w, APSProjection(n), 512, cache=cache) for n in range(-6, 7)])
+    # T has 2K + 1 rows for a >= 0, 2K + 2 for a < 0: 11 and 10 at N = -6,
+    # then one of each at N = 5 and at N = 6
+    assert sorted(len(off) + 1 for off in offs) == sorted(
+        [11 * 1025, 10 * 1026, 1025, 1026, 1025, 1026])
+    for off in offs:
+        _assert_dlaebz_count_is_dstebz_count(off, 512)
+
+
+def _stack_around(diag, upper):
+    """A square system between two well-conditioned ones of its size."""
+    rows = len(diag)
+    return (np.stack([np.ones(rows), diag, np.ones(rows)]),
+            np.stack([np.full(rows - 1, 0.5), upper, np.full(rows - 1, -0.5)]))
+
+
+def test_stack_with_a_value_below_threshold_counts_each_system(monkeypatch):
+    """The stack's gap query finds the Kahan system's small pair, so each
+    system is asked alone and the Kahan system at tau too: every count is
+    its count alone, bordered or not."""
+    rows = 30
+    kahan, upper, sigmas = _kahan_system(rows, 2.0)
+    assert np.sum(sigmas < 1.0) == 1
+    diag, upper = _stack_around(kahan, upper)
+    border = (np.arange(rows), np.ones(rows))
+    requests = [(0, False), (1, False), (2, True), (1, True)]
+    calls = _count_queries(monkeypatch)
+    got = count_null_stack(diag, upper, rows, rows, rows, requests, border=border)
+    assert len(calls) == 1 + 3 + 1
+    assert got[1].n_below == got[1].nullity == 1
+    for (j, bordered), res in zip(requests, got):
+        assert res == count_null_two_queries(
+            diag[j], upper[j], rows, rows, rows, border=border if bordered else None)
+
+
+def test_stack_with_a_value_in_the_gap_raises():
+    rows = 20
+    kahan, upper, sigmas = _kahan_system(rows, 2.0)
+    assert 1.0 <= sigmas[-1] < nullity.GAP_RATIO
+    diag, upper = _stack_around(kahan, upper)
+    with pytest.raises(IllConditionedError, match="forbidden band"):
+        count_null_stack(diag, upper, rows, rows, rows, [(0, False), (1, False)])
+
+
+def test_stack_whose_pivmin_may_differ_counts_each_system(monkeypatch):
+    """A stack whose PIVMIN is not tiny (never after equilibration) could
+    hold blocks of different PIVMIN: each system is asked alone, once."""
+    w, k_max = quantum_disk_weights(0.7, 2.0), 128
+    bands, border, _, requests = _sweep_stack(w, k_max, True)
+    want = count_null_stack(*bands, k_max, requests, border=border)
+    sturm_inputs = nullity._sturm_inputs
+
+    def raised(off):
+        d, e2, pivmin = sturm_inputs(off)
+        return d, e2, 2.0 * pivmin if len(off) > 2 * k_max + 1 else pivmin
+
+    monkeypatch.setattr(nullity, "_sturm_inputs", raised)
+    calls = _count_queries(monkeypatch)
+    assert count_null_stack(*bands, k_max, requests, border=border) == want
+    assert len(calls) == len(bands[0]) == 11
+
+
+def test_sweep_counts_each_system_on_its_own_stack_row(monkeypatch):
+    """The sweep hands each (a, constrained) system to the stacked count as
+    the row that holds the bands of a, bordered iff constrained: in place
+    of the count, a stand-in returns, per request, its row's bands and
+    whether it is bordered, and every cache entry holds those of its key.
+    (The counts alone cannot show this: every nc system of one sign counts
+    the same.)"""
+    w, k_max, cache = quantum_disk_weights(0.7, 2.0), 128, {}
+
+    def echo(diag, upper, rows, cols, scale_dim, requests, border=None):
+        return [nullity.NullCount(0, 0.0, (diag[j].tobytes(), upper[j].tobytes()),
+                                  bordered and border is not None)
+                for j, bordered in requests]
+
+    monkeypatch.setattr(aps, "count_null_stack", echo)
+    for n in range(-6, 7):
+        index_numeric(w, APSProjection(n), k_max, cache=cache)
+    assert len(cache) == 35
+    for (a, constrained), got in cache.items():
+        diag, upper, *_ = _mode_bands(w, a, k_max, k_max // 16, constrained)
+        assert got.n_below == (diag.tobytes(), upper.tobytes()), a
+        assert got.structural == constrained, a
+
+
+def test_small_stack_budget_splits_the_sweep_into_chunks(monkeypatch):
+    """With room for three K = 128 systems per stack, the sweep counts in
+    more and smaller stacks, and per_mode is unchanged."""
+    w = quantum_disk_weights(0.7, 2.0)
+
+    def sweep():
+        cache = {}
+        return [index_numeric(w, APSProjection(n), 128, cache=cache).per_mode
+                for n in range(-6, 7)]
+
+    want = sweep()
+    stacked, sizes = aps.count_null_stack, []
+    monkeypatch.setattr(aps, "count_null_stack",
+                        lambda diag, *args, **kw: sizes.append(len(diag))
+                        or stacked(diag, *args, **kw))
+    monkeypatch.setattr(aps, "STACK_ENTRIES", 3 * (2 * 128 + 2))
+    assert sweep() == want
+    assert sorted(sizes) == [1, 1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 3]
 
 
 def test_singular_value_below_threshold_takes_both_queries(monkeypatch):

@@ -176,6 +176,18 @@ class TestLimitDiagnostics:
             assert abs(result.observed["values"][0]
                        - result.expected["target"]) < 0.01
 
+    def test_errors_that_grow_and_stay_large_fail(self):
+        """Scale 1 makes A half the size that normalises the differences, so
+        every sequence tends to half its target.  With the probes in
+        descending order the errors of the backward differences grow
+        (1.00005, then 1.0048) and end above 0.5: those checks fail, and so
+        does the report.  Scale 2 passes on the same probes."""
+        for scale, passed in ((1.0, [False, False, True, True]), (2.0, [True] * 4)):
+            report = limit_diagnostics(quantum_disk_weights(1.0, scale), 2,
+                                       [10_000, 100])
+            assert [r.passed for r in report.results] == passed, scale
+            assert report.passed == all(passed)
+
     def test_negative_probe_rejected(self, w2):
         with pytest.raises(ValueError):
             limit_diagnostics(w2, 1, [-3])
