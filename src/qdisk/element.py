@@ -150,8 +150,9 @@ class ToeplitzElement:
 
     def _combine(self, other: "ToeplitzElement", op) -> "ToeplitzElement":
         """self + other (op np.add) or self - other (np.subtract) over the
-        union of the mode ranges: one op call, or one into the output per run
-        of rows, a missing operand read as 0.0 (zeros keep op's signs)."""
+        union of the mode ranges: one op call into the output per run of rows
+        the same operands cover, a missing operand read as 0.0 (zeros keep
+        op's signs); operands over one range make one run."""
         if not isinstance(other, ToeplitzElement):
             return NotImplemented
         if other.k_max != self.k_max:
@@ -160,14 +161,11 @@ class ToeplitzElement:
         xl, yl = self.mode_lo - lo, other.mode_lo - lo
         xh, yh = xl + len(self.coeffs), yl + len(other.coeffs)
         rows = max(xh, yh)
-        if (xl, xh) == (yl, yh):
-            coeffs = op(self.coeffs, other.coeffs)
-        else:
-            coeffs = np.empty((rows, self.k_max + 1), complex)
-            cuts = sorted({xl, xh, yl, yh})  # from 0 to rows
-            for p, q in zip(cuts, cuts[1:]):
-                op(self.coeffs[p - xl: q - xl] if xl <= p < xh else 0.0,
-                   other.coeffs[p - yl: q - yl] if yl <= p < yh else 0.0, out=coeffs[p: q])
+        coeffs = np.empty((rows, self.k_max + 1), complex)
+        cuts = sorted({xl, xh, yl, yh})  # from 0 to rows
+        for p, q in zip(cuts, cuts[1:]):
+            op(self.coeffs[p - xl: q - xl] if xl <= p < xh else 0.0,
+               other.coeffs[p - yl: q - yl] if yl <= p < yh else 0.0, out=coeffs[p: q])
         (xp, xt, xd), (yp, yt, yd) = (e._spanning(lo, rows) for e in (self, other))
         known = (xd | ~xp) & (yd | ~yp)
         return ToeplitzElement(self.k_max, lo, coeffs, xp | yp,

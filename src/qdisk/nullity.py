@@ -44,11 +44,16 @@ Two routes:
   those zeros, tau is not asked.  Systems of one shape count as a stack:
   row j of one buffer holds T_j's off-diagonal, then a zero, so the flat
   buffer is the stack's block-diagonal T.  After a zero E2 the Sturm step
-  D(J) - E2(J-1)/q - t is exactly -t, a fresh block's first step, so one
-  gap query counts the exact sum of the blocks' counts; each is at least
-  its structural zeros, so a total of their sum puts all at the minimum.
-  Else, or if their PIVMIN may differ, each T_j is asked alone; borders
-  and tau stay per system.  aps.STACK_ENTRIES caps a stack's memory.
+  D(J) - E2(J-1)/q - t is exactly -t, a fresh block's first step, and
+  each PIVMIN, the stack's and every block's, is tiny (a row divided by
+  its hypot has entries of modulus <= 1, so E2 <= 1): one gap query counts
+  the exact sum of the blocks' counts.  Each is at least its structural
+  zeros, as the computed count is exact for a T with relatively perturbed
+  E2 (Demmel et al.), a Golub-Kahan matrix of B's shape, with pivots moved
+  by PIVMIN, far inside GAP_RATIO * tau.  So a total equal to the sum of
+  the structural zeros puts every block there: the guard's lower half
+  applies to that total, not per block.  Else each T_j is asked alone;
+  borders and tau stay per system.  aps.STACK_ENTRIES bounds a stack.
 * dense: scipy svdvals on the full matrix, O(K^3) — a test oracle, kept
   here only because the benchmark ladder imports it from this module.
 """
@@ -240,10 +245,7 @@ def count_null_stack(diag: np.ndarray, upper: np.ndarray, rows: int, cols: int,
 
     threshold = _threshold(scale_dim)
     gap, floor = GAP_RATIO * threshold, abs(rows - cols)
-    d, e2, pivmin = _sturm_inputs(off.reshape(-1)[:-1])
-    # each T_j's PIVMIN, tiny * max(1, its max E2), is at most the stack's:
-    # when that is tiny, all equal it and the stack's count is their sum
-    total = _count_within(d, e2, pivmin, gap) if systems == 1 or pivmin == _TINY else None
+    total = _count_within(*_sturm_inputs(off.reshape(-1)[:-1]), gap)  # module notes
     at_gap = ([total] if systems == 1 else [floor] * systems if total == floor * systems
               else [_count_within(*_sturm_inputs(row[:-1]), gap) for row in off])
     out = []

@@ -325,22 +325,27 @@ def test_stack_with_a_value_in_the_gap_raises():
         count_null_stack(diag, upper, rows, rows, rows, [(0, False), (1, False)])
 
 
-def test_stack_whose_pivmin_may_differ_counts_each_system(monkeypatch):
-    """A stack whose PIVMIN is not tiny (never after equilibration) could
-    hold blocks of different PIVMIN: each system is asked alone, once."""
-    w, k_max = quantum_disk_weights(0.7, 2.0), 128
-    bands, border, _, requests = _sweep_stack(w, k_max, True)
-    want = count_null_stack(*bands, k_max, requests, border=border)
-    sturm_inputs = nullity._sturm_inputs
+def test_equilibrated_stack_has_the_tiny_pivmin(monkeypatch):
+    """Entries far from 1 in both directions still give every row entries
+    of modulus <= 1, so the stack's PIVMIN is tiny, as each block's is
+    (the premise of the stack's exact sum, module notes)."""
+    rng = np.random.default_rng(5)
+    rows = 40
+    diag = rng.choice([-1.0, 1.0], (4, rows)) * 10.0 ** rng.uniform(-300, 300, (4, rows))
+    upper = rng.choice([-1.0, 1.0], (4, rows)) * 10.0 ** rng.uniform(-300, 300, (4, rows))
+    diag[1, 3], upper[2, 5] = np.finfo(float).max, 5e-324
+    for cols in (rows, rows + 1):
+        def run():  # only the Sturm inputs matter; the counts may be ill-conditioned
+            try:
+                count_null_stack(diag, upper[:, :cols - 1], rows, cols, rows,
+                                 [(j, False) for j in range(4)])
+            except IllConditionedError:
+                pass
 
-    def raised(off):
-        d, e2, pivmin = sturm_inputs(off)
-        return d, e2, 2.0 * pivmin if len(off) > 2 * k_max + 1 else pivmin
-
-    monkeypatch.setattr(nullity, "_sturm_inputs", raised)
-    calls = _count_queries(monkeypatch)
-    assert count_null_stack(*bands, k_max, requests, border=border) == want
-    assert len(calls) == len(bands[0]) == 11
+        offs = _counted_offdiagonals(monkeypatch, run)
+        assert len(offs[0]) == 4 * (rows + cols) - 1
+        for off in offs:
+            assert nullity._sturm_inputs(off)[2] == nullity._TINY
 
 
 def test_sweep_counts_each_system_on_its_own_stack_row(monkeypatch):
