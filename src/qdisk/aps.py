@@ -12,11 +12,12 @@ Ker P_N, i.e. modes m <= N+1 of the restriction vanish.  Counting modes:
 ``index_numeric`` reproduces the counts with no reference to those formulas:
 per mode it assembles the homogeneous stencil of the operator (table in the
 ``ncops`` notes, k <= k_max) plus, when the mode is constrained, a boundary
-row pinning the tail-window mean to zero, and counts numerical null
+row pinning the mode's boundary value, the functional that ``restrict``
+applies (``element._boundary_weights``), to zero, and counts numerical null
 directions by singular values under the threshold/gap rule, in O(k_max)
 per mode: the recursion is bidiagonal and the boundary row a border
-(``nullity.count_null_bidiagonal``; the tests check it against the SVD of
-the dense system).  Kernel and cokernel never overlap and the increment in
+(``nullity.count_null_stack``; the tests check it against the SVD of the
+dense system).  Kernel and cokernel never overlap and the increment in
 N is one mode at a time, so the sweep is a discrete spectral-flow picture.
 """
 
@@ -27,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .element import BoundaryFunction, ToeplitzElement
+from .element import BoundaryFunction, ToeplitzElement, _boundary_weights
 from .ncops import _stencil, _table
 from .nullity import NullCount, count_null_stack
 from .parametrix import _forced_boundary_values, apply_Q
@@ -86,8 +87,7 @@ def index_analytic(p: APSProjection) -> IndexCounts:
     return IndexCounts(dim_ker, dim_coker, dim_ker - dim_coker)
 
 
-def _mode_bands(w: WeightPair, a: int | list[int], k_max: int, window: int,
-                constrained: bool):
+def _mode_bands(w: WeightPair, a: int | list[int], k_max: int, constrained: bool):
     """Stencil bracket at signed index a, rows k <= k_max, as the arguments
     (diag, upper, rows, cols, border) of ``count_null_bidiagonal``: D at
     mode a, and minus D̄ at mode -a, up to the positive row factor A(k+p).
@@ -96,22 +96,22 @@ def _mode_bands(w: WeightPair, a: int | list[int], k_max: int, window: int,
 
     A square lower-bidiagonal system (s = -1) is reversed in rows and
     columns, which keeps every row (so the row equilibration) and makes it
-    upper bidiagonal.  A constrained mode adds the boundary row pinning the
-    tail-window mean, entries 1/sqrt(window): the unit row that
-    equilibration makes of it.
+    upper bidiagonal.  A constrained mode adds the boundary row: the
+    weights of ``_boundary_weights(k_max)``, which the count scales to a unit
+    row, on its columns (k_max - k for a reversed system).
     """
     a = np.asarray(a)
     st = _stencil(+1, a[..., None])
     _, b, _ = _table(w, k_max, k_max + int(np.abs(a).max()) + 1)  # b[k + 1] = B(k)
     ks = np.arange(k_max + 1)
     on_c, on_next = b[st.q + 1 + st.n + ks], b[st.q + 1 + ks]
-    tail = np.arange(k_max - window + 1, k_max + 1)
+    tail, weights = _boundary_weights(k_max)
     if a.min() >= 0:
         diag, upper, rows = on_c[..., :-1], -on_next[..., :-1], k_max
     else:
         diag, upper, rows = -on_c[..., ::-1], on_next[..., :0:-1], k_max + 1
         tail = k_max - tail
-    border = (tail, np.full(window, window ** -0.5)) if constrained else None
+    border = (tail, weights) if constrained else None
     return diag, upper, rows, k_max + 1, border
 
 
@@ -164,9 +164,9 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
                   cache: dict | None = None) -> NumericIndex:
     """Independent index computation via truncated per-mode linear systems.
 
-    The boundary row constrains the tail-window mean (window = k_max // 16,
-    at least 8 — smaller truncations cannot support the gap criterion and
-    raise IllConditionedError).  ``cache`` may be shared across calls with
+    The boundary row pins the boundary value that ``restrict`` reads
+    (``_mode_bands``); k_max < 128 cannot support the gap criterion and
+    raises IllConditionedError.  ``cache`` may be shared across calls with
     the same weights/k_max to reuse per-(a, constrained) counts during
     sweeps: the kernel system at mode m and the cokernel system at mode -m
     differ only by sign.  The systems it lacks are counted in one call, as
@@ -176,8 +176,7 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
     (the memo keeps the last k checked): A finite and positive, B in (0, 1)
     and strictly increasing, or ValueError naming the first bad k.
     """
-    window = k_max // 16
-    if window < 8:
+    if k_max < 128:
         raise IllConditionedError(
             f"k_max={k_max} is too small for the boundary window/gap "
             f"criterion (needs k_max >= 128)")
@@ -193,7 +192,7 @@ def index_numeric(w: WeightPair, p: APSProjection, k_max: int,
             systems = list(dict.fromkeys(a for a, _ in keys if (a >= 0) == up))
             for i in range(0, len(systems), per):
                 row = {a: j for j, a in enumerate(systems[i: i + per])}
-                *bands, border = _mode_bands(w, list(row), k_max, window, True)
+                *bands, border = _mode_bands(w, list(row), k_max, True)
                 asked = [key for key in keys if key[0] in row]
                 counts.update(zip(asked, count_null_stack(
                     *bands, k_max, [(row[a], c) for a, c in asked], border=border)))

@@ -7,7 +7,8 @@ error: a ValueError raised past the argument checks), 2 usage error,
 argument checks' own: --mu outside (0, 1], --scale or --tol not finite and
 positive (NaN included), --trials below 1 or --kmax below 2 for the suites,
 --kmax below 16 for verify-weights, --nmin above --nmax or --grid below 2
-for index-sweep.  Given a fixed --seed, reports are byte-for-byte
+for index-sweep.  index-sweep --kmax below 128 exits 3: the gap criterion
+needs that truncation.  Given a fixed --seed, reports are byte-for-byte
 reproducible (no timestamps).  The parser is built once per process.
 
 The parametrix residual grows with K: the worst residuals measured were

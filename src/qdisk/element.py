@@ -374,20 +374,28 @@ def power_UB(w: WeightPair, n: int, k_max: int) -> ToeplitzElement:
     return element(k_max, {n: np.exp(lb[ks + n] - lb[ks])})
 
 
-def restrict(a: ToeplitzElement, tail_window: int = 16) -> BoundaryFunction:
+def _boundary_weights(hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary value of a mode valid for k <= hi as a linear functional:
+    the indices of the last 16 valid k (fewer if hi < 15, none if hi < 0) and
+    uniform weights summing to 1, for ``restrict``, the APS boundary row
+    (``aps._mode_bands``) and ``parametrix.boundary_value_decomposition``."""
+    ks = np.arange(max(hi - 15, 0), hi + 1)
+    return ks, np.ones(len(ks)) / max(len(ks), 1)
+
+
+def restrict(a: ToeplitzElement) -> BoundaryFunction:
     """Boundary restriction: per-mode coefficient limits as circle modes.
 
-    Declared tails restrict exactly; otherwise the limit is estimated by the
-    mean of the last ``tail_window`` coefficients inside the valid range, and
-    the in-window spread is recorded as the error estimate.  An element with
-    no valid coefficient (``k_valid`` < 0) has no such window: those modes
-    get variation inf and a TruncationWarning.
+    Declared tails restrict exactly; otherwise the limit is the boundary
+    functional (``_boundary_weights``) applied at k_valid, and the spread of
+    its window about that value is recorded as the error estimate.  An
+    element with no valid coefficient (``k_valid`` < 0) has no such window:
+    those modes get variation inf and a TruncationWarning.
     """
-    if tail_window < 1:
-        raise ValueError("tail_window must be >= 1")
     hi = max(a.k_valid, 0)
-    window = a.coeffs[:, max(hi - tail_window + 1, 0): hi + 1]
-    means = np.mean(window, axis=1)
+    ks, weights = _boundary_weights(hi)
+    window = a.coeffs[:, ks]
+    means = window @ weights
     exact = a.declared & (a.tail_start <= hi)
     spread = np.max(np.abs(window - means[:, None]), axis=1)
     if a.k_valid < 0:

@@ -138,7 +138,7 @@ def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
     The two pairings are evaluated in Fourier form over k <= k_max plus the
     exact constant-tail corrections; the boundary term is the finite Fourier
     sum of ∫ conj(r(a)) r(b) e^{-iφ} dφ/2π.  For declared-tail inputs the
-    residual is limited only by roundoff; otherwise the window-mean limits
+    residual is limited only by roundoff; otherwise restrict's estimates
     leave an O(1/k_max) remainder that propagates as a TruncationWarning.
     """
     if a.k_max != b.k_max:
@@ -149,7 +149,7 @@ def integration_by_parts_residual(a: ToeplitzElement, b: ToeplitzElement,
             "estimates and the residual is only O(1/k_max)",
             TruncationWarning, stacklevel=2)
 
-    # per-mode limits: declared tails where present, window means else
+    # per-mode limits: declared tails where present, restrict's estimates else
     ra, rb = restrict(a), restrict(b)
     da_b = inner_product_fourier(apply_D(a, w), b, w)
     da_b += _ibp_tail(a, w, +1, lambda m: np.conj(ra.coeff(m)) * rb.coeff(m + 1))

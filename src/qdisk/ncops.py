@@ -58,8 +58,8 @@ from typing import Literal
 
 import numpy as np
 
-from .element import (ToeplitzElement, BoundaryFunction, adjoint, extend,
-                      from_mode, multiply, power_UB, restrict)
+from .element import (ToeplitzElement, BoundaryFunction, _boundary_weights, adjoint,
+                      extend, from_mode, multiply, power_UB, restrict)
 from .report import CheckResult, Report
 from .weights import WeightPair, quantum_disk_weights
 
@@ -243,12 +243,12 @@ def boundary_operator_check(f: BoundaryFunction, w: WeightPair, k_max: int,
     O(1/k) rate of the telescoped weight limits, so the reported per-mode
     errors shrink roughly like 1/k_max.  Weights whose normalized difference
     does not converge to 1 are flagged: the comparison would then be against
-    (limit) · f' instead.  The restriction averages the last
-    max(8, k_max // 64) valid coefficients.
+    (limit) · f' instead.  The restriction is ``restrict``'s one boundary
+    functional; the report records the length of its window.
     """
     shift = _shift(which)
-    tail_window = max(8, k_max // 64)
-    got = restrict(_apply(extend(f, k_max), w, shift), tail_window)
+    image = _apply(extend(f, k_max), w, shift)
+    got, window = restrict(image), _boundary_weights(max(image.k_valid, 0))[0]
 
     expected = {m + shift: m * c for m, c in f.modes.items() if m != 0}
     errors = {}
@@ -272,7 +272,7 @@ def boundary_operator_check(f: BoundaryFunction, w: WeightPair, k_max: int,
     report.add(CheckResult(
         check="boundary-derivative-recovery",
         claim="boundary-angular-derivative",
-        params={"k_max": k_max, "tail_window": tail_window, "which": which},
+        params={"k_max": k_max, "tail_window": len(window), "which": which},
         observed={"per_mode_error": errors, "max_error": max_error,
                   "restriction": got.to_json_dict()},
         expected={"coefficients": {str(m): c for m, c in expected.items()}},

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .element import BoundaryFunction, ToeplitzElement, power_UB
+from .element import BoundaryFunction, ToeplitzElement, _boundary_weights, power_UB
 from .hilbert import norm_fourier
 from .ncops import _blocks, _rows, _table, apply_D
 from .report import CheckResult, DecompositionError, Report, TruncationWarning
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-9
-MATCH_WINDOW = 16
 
 
 def _tail_warning(b: ToeplitzElement, w: WeightPair, up: np.ndarray) -> None:
@@ -165,38 +164,31 @@ def boundary_value_decomposition(a: ToeplitzElement, w: WeightPair,
     """Split a into Qb + kernel part and read off its boundary values.
 
     b = Da (masked to its validity bound); the kernel coefficients c_n are
-    extracted by ratio-matching a - Qb against the generators (U B(K))^n on
-    the last MATCH_WINDOW k of the valid range — there Qb's g side has died
-    out, so the ratio is constant and the match is exact, even where the
-    generator itself is still O(1/k) away from its limit.  The boundary
-    value at a mode m < 0 is the full j-sum of Q's forced closed form (the
-    module notes); at mode +n it is c_n.
+    extracted by ratio-matching a - Qb against the generators (U B(K))^n:
+    ``restrict``'s boundary functional (``_boundary_weights``) applied to the
+    ratio — there Qb's g side has died out, so the ratio is constant and the
+    match is exact, even where the generator itself is still O(1/k) away
+    from its limit.  The boundary value at a mode m < 0 is the full j-sum of
+    Q's forced closed form (the module notes); at mode +n it is c_n.
     Raises DecompositionError when the split leaves an interior residual
     above tolerance.
     """
     b = _truncate_to_valid(apply_D(a, w))
     qb = apply_Q(b, w)
     d = a - qb
-    hi = d.k_valid
+    ks, weights = _boundary_weights(d.k_valid)
+    if len(ks) == 0:
+        raise DecompositionError(
+            "no valid window to match the kernel generators; increase k_max")
 
-    n_top = max(d.mode_max, 0)
-    coeffs = np.zeros(n_top + 1, dtype=complex)
-    recon = None
-    for n in range(n_top + 1):
-        gen = power_UB(w, n, a.k_max)
-        lo = max(hi - MATCH_WINDOW + 1, 0)
-        sel = np.arange(lo, hi + 1)
-        if len(sel) == 0:
-            raise DecompositionError(
-                f"no valid window to match the mode-{n} kernel generator; "
-                f"increase k_max")
-        coeffs[n] = np.mean(d.coeff(n)[sel] / gen.coeff(n)[sel])
-        scaled = coeffs[n] * gen
-        recon = scaled if recon is None else recon + scaled
-
-    resid_el = d - recon if recon is not None else d
+    gens = [power_UB(w, n, a.k_max) for n in range(max(d.mode_max, 0) + 1)]
+    coeffs = np.array([(d.coeff(n)[ks] / gen.coeff(n)[ks]) @ weights
+                       for n, gen in enumerate(gens)])
+    resid_el = d
+    for c, gen in zip(coeffs, gens):
+        resid_el = resid_el - c * gen
     scale = 1.0 + float(np.max(np.abs(a.coeffs), initial=0.0))
-    residual = float(np.max(np.abs(resid_el.coeffs[:, : hi + 1]), initial=0.0))
+    residual = float(np.max(np.abs(resid_el.coeffs[:, : d.k_valid + 1]), initial=0.0))
     if residual > tol * scale:
         raise DecompositionError(
             f"kernel split leaves interior residual {residual:.3e} "
@@ -204,7 +196,5 @@ def boundary_value_decomposition(a: ToeplitzElement, w: WeightPair,
 
     # boundary values: series on the f side, kernel coefficients on the g side
     bvals = _forced_boundary_values(b, w)
-    for n in range(n_top + 1):
-        if coeffs[n] != 0.0:
-            bvals[n] = complex(coeffs[n])
+    bvals.update({n: complex(c) for n, c in enumerate(coeffs) if c != 0.0})
     return BoundaryDecomposition(b, coeffs, BoundaryFunction(bvals), residual)

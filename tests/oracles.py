@@ -140,16 +140,15 @@ def inner_product(a, b, w, tail_tol: float = 1e-9) -> complex:
     return complex(np.sum(mb * np.conj(ma) * inv_a[:, None]))
 
 
-def mode_matrix(w, a: int, k_max: int, window: int,
-                constrained: bool) -> np.ndarray:
-    """Dense matrix of ``aps._mode_bands``, the oracle for the structured count."""
-    diag, upper, rows, cols, border = _mode_bands(w, a, k_max, window,
-                                                  constrained)
+def mode_matrix(w, a: int, k_max: int, constrained: bool) -> np.ndarray:
+    """Dense matrix of ``aps._mode_bands``, the oracle for the structured count,
+    with the border scaled to the unit row that the count makes of it."""
+    diag, upper, rows, cols, border = _mode_bands(w, a, k_max, constrained)
     mat = np.zeros((rows + constrained, cols))
     mat[np.arange(len(diag)), np.arange(len(diag))] = diag
     mat[np.arange(len(upper)), np.arange(1, len(upper) + 1)] = upper
     if constrained:
-        mat[rows, border[0]] = border[1]
+        mat[rows, border[0]] = border[1] / np.linalg.norm(border[1])
     return mat
 
 

@@ -178,20 +178,20 @@ class TestPowerUB:
 class TestRestrictExtend:
     def test_declared_tail_is_exact(self):
         a = from_mode(2, np.full(K + 1, 5.0), K, tail=5.0)
-        f = restrict(a, 8)
+        f = restrict(a)
         assert f.coeff(2) == 5.0 + 0.0j
         assert f.variation[2] == 0.0
 
     def test_kernel_generator_boundary_tends_to_one(self, w2):
         """Products of B approach 1; within 0.01 at k_max = 512."""
         for n in (1, 2, 4):
-            f = restrict(power_UB(w2, n, 512), 16)
+            f = restrict(power_UB(w2, n, 512))
             assert abs(f.coeff(n) - 1.0) < 0.01
 
     def test_vanishing_sequence(self):
         ks = np.arange(K + 1)
         a = from_mode(-1, 1.0 / (ks + 1.0), K)
-        f = restrict(a, 8)
+        f = restrict(a)
         assert abs(f.coeff(-1)) < 2.0 / K
         assert f.variation[-1] < 2.0 / K
 
@@ -222,7 +222,7 @@ class TestRestrictExtend:
         with pytest.warns(TruncationWarning):
             p = multiply(a, a)
         with pytest.warns(TruncationWarning, match="k_valid=-1"):
-            f = restrict(p, 8)
+            f = restrict(p)
         assert set(f.variation) == set(p.modes)
         assert all(v == np.inf for v in f.variation.values())
 
@@ -244,7 +244,7 @@ class TestRestrictExtend:
                            min_size=1, max_size=9))
     def test_restrict_extend_round_trip(self, modes):
         f = BoundaryFunction(modes)
-        g = restrict(extend(f, 32), 4)
+        g = restrict(extend(f, 32))
         for m in modes:
             assert g.coeff(m) == f.coeff(m)
 

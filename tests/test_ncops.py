@@ -234,13 +234,14 @@ class TestBoundaryOperator:
         assert rec.expected["coefficients"] == {"1": 2.0 + 0.0j}
         assert report.passed
 
-    @pytest.mark.parametrize("k_max, window", [(256, 8), (4096, 64)])
-    def test_tail_window_scales_with_truncation(self, w2, k_max, window):
-        """The restriction averages max(8, k_max // 64) coefficients."""
+    @pytest.mark.parametrize("k_max", [256, 4096])
+    def test_report_carries_the_one_window(self, w2, k_max):
+        """The restriction is restrict's boundary functional at every k_max,
+        and the report records its window: the last 16 valid coefficients."""
         report = boundary_operator_check(BoundaryFunction({1: 1.0 + 0.0j}),
                                          w2, k_max, "D")
         params = report["boundary-derivative-recovery"].params
-        assert params["tail_window"] == window
+        assert params["tail_window"] == 16
 
     @pytest.mark.parametrize("which", ["dbar", "d", ""])
     def test_rejects_unknown_operator(self, w2, which):
@@ -251,9 +252,9 @@ class TestBoundaryOperator:
     @pytest.mark.parametrize("which", ["D", "Dbar"])
     def test_recovery_fails_on_the_error_alone(self, w2, which):
         """f = 1 on modes -4..4: at K = 256 the weights pass the
-        normalization check, but the window-mean error (0.087 under D,
-        0.070 under D̄) is above 0.05, so the recovery check fails; at
-        K = 512 (0.043 and 0.035) it passes."""
+        normalization check, but the restriction's error (0.0880 under D,
+        0.0708 under D̄) is above 0.05, so the recovery check fails; at
+        K = 512 (0.0435 and 0.0353) it passes."""
         f = BoundaryFunction({m: 1.0 for m in range(-4, 5)})
         coarse, fine = (boundary_operator_check(f, w2, k, which) for k in (256, 512))
         assert coarse["normalized-difference-limit"].passed

@@ -30,7 +30,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, svdvals
 
-from qdisk import (APSProjection, IllConditionedError, element,
+from qdisk import (APSProjection, IllConditionedError, element, restrict,
                    apply_D, apply_Dbar, index_numeric, quantum_disk_weights)
 from qdisk import aps, classical, nullity
 from qdisk.aps import _mode_bands
@@ -107,13 +107,11 @@ def _kahan_system(rows, ratio):
 @pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
 def test_structured_count_matches_dense_on_the_sweep(k_max, mu):
     w = quantum_disk_weights(mu, 2.0)
-    window = k_max // 16
     for a, constrained in _sweep_jobs():
-        diag, upper, rows, cols, border = _mode_bands(w, a, k_max, window,
-                                                      constrained)
+        diag, upper, rows, cols, border = _mode_bands(w, a, k_max, constrained)
         got = count_null_bidiagonal(diag, upper, rows, cols, k_max,
                                     border=border)
-        matrix = mode_matrix(w, a, k_max, window, constrained)
+        matrix = mode_matrix(w, a, k_max, constrained)
         want = count_null_dense(matrix, k_max)
         job = (a, constrained)
         assert (got.nullity, got.n_below, got.structural) == (
@@ -134,8 +132,7 @@ def test_structured_count_matches_dense_on_the_sweep(k_max, mu):
 def test_count_equals_two_query_reference_on_the_nc_sweep(k_max, mu):
     w = quantum_disk_weights(mu, 2.0)
     for a, constrained in _sweep_jobs():
-        diag, upper, rows, cols, border = _mode_bands(w, a, k_max,
-                                                      k_max // 16, constrained)
+        diag, upper, rows, cols, border = _mode_bands(w, a, k_max, constrained)
         for sign in (1.0, -1.0):
             got = count_null_bidiagonal(sign * diag, sign * upper, rows, cols,
                                         k_max, border=border)
@@ -162,8 +159,7 @@ def test_count_within_equals_dstebz_on_the_nc_sweep(k_max, mu, monkeypatch):
 
     def sweep():
         for a, constrained in _sweep_jobs():
-            diag, upper, rows, cols, border = _mode_bands(
-                w, a, k_max, k_max // 16, constrained)
+            diag, upper, rows, cols, border = _mode_bands(w, a, k_max, constrained)
             for sign in (1.0, -1.0):
                 count_null_bidiagonal(sign * diag, sign * upper, rows, cols,
                                       k_max, border=border)
@@ -203,6 +199,25 @@ def test_zero_pivot_at_a_split_is_guarded():
     assert count_within_dstebz(np.zeros(4), off, 0.5) == 3
 
 
+@pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
+def test_modes_beyond_the_reach_count_zero(mu):
+    """The sweep counts the modes within ±(|N| + 4) (``aps._reach``) and
+    takes every other system to count 0, which holds unless a >= 0 and the
+    mode is unconstrained (one null direction, the kernel generator): on
+    every nc system with |a| <= K - 12 at K = 512, both constrained and
+    not, and on every flat-disk system with |a| <= 245 at grid 257."""
+    w, k_max = quantum_disk_weights(mu, 2.0), 512
+    for systems in (range(k_max - 11), range(-1, 11 - k_max, -1)):
+        *bands, border = _mode_bands(w, list(systems), k_max, True)
+        requests = [(j, c) for j in range(len(systems)) for c in (True, False)]
+        got = count_null_stack(*bands, k_max, requests, border=border)
+        want = [int(systems[j] >= 0 and not c) for j, c in requests]
+        assert [res.nullity for res in got] == want
+    flat = [(a, c) for a in range(-245, 246) for c in (True, False)]
+    assert [_mode_nullity(a, c, 257).nullity for a, c in flat] == [
+        int(a >= 0 and not c) for a, c in flat]
+
+
 @pytest.mark.parametrize("index, queries", [
     (partial(index_classical, m_points=16384), 35),
     (partial(index_numeric, quantum_disk_weights(0.7, 2.0), k_max=512), 6),
@@ -227,8 +242,7 @@ def _sweep_stack(w, k_max, up, sign=1.0):
     jobs and their (row, bordered) requests, one row per distinct a."""
     jobs = [(a, c) for a, c in _sweep_jobs() if (a >= 0) == up]
     systems = sorted({a for a, _ in jobs})
-    diag, upper, rows, cols, border = _mode_bands(w, systems, k_max,
-                                                  k_max // 16, True)
+    diag, upper, rows, cols, border = _mode_bands(w, systems, k_max, True)
     return ((sign * diag, sign * upper, rows, cols), border, jobs,
             [(systems.index(a), c) for a, c in jobs])
 
@@ -246,8 +260,7 @@ def test_stack_counts_equal_the_per_system_counts(k_max, mu):
             got = count_null_stack(*bands, k_max, requests, border=border)
             assert len(got) == len(jobs)
             for (a, c), res in zip(jobs, got):
-                diag, upper, rows, cols, b = _mode_bands(w, a, k_max,
-                                                         k_max // 16, c)
+                diag, upper, rows, cols, b = _mode_bands(w, a, k_max, c)
                 args = (sign * diag, sign * upper, rows, cols, k_max)
                 assert res == count_null_bidiagonal(*args, border=b), (a, c, sign)
                 assert res == count_null_two_queries(*args, border=b), (a, c, sign)
@@ -268,7 +281,7 @@ def test_stacked_rows_are_the_per_system_rows(mu, up, monkeypatch):
     stacked = np.append(offs[0], 0.0).reshape(len(systems), size)
     assert not stacked[:, -1].any()
     for j, a in enumerate(systems):
-        diag, upper, rows, cols, _ = _mode_bands(w, a, k_max, k_max // 16, False)
+        diag, upper, rows, cols, _ = _mode_bands(w, a, k_max, False)
         for got, want in ((bands[0][j], diag), (bands[1][j], upper),
                           (stacked[j, :-1],
                            equilibrated_offdiagonal(diag, upper, rows, cols))):
@@ -367,7 +380,7 @@ def test_sweep_counts_each_system_on_its_own_stack_row(monkeypatch):
         index_numeric(w, APSProjection(n), k_max, cache=cache)
     assert len(cache) == 35
     for (a, constrained), got in cache.items():
-        diag, upper, *_ = _mode_bands(w, a, k_max, k_max // 16, constrained)
+        diag, upper, *_ = _mode_bands(w, a, k_max, constrained)
         assert got.n_below == (diag.tobytes(), upper.tobytes()), a
         assert got.structural == constrained, a
 
@@ -426,7 +439,7 @@ def test_mode_system_rows_are_the_operator_stencil(w2, side, m):
         op(element(k_max, {m: np.eye(k_max + 1)[j]}),
            w2).coeff(out_mode).real
         for j in range(k_max + 1)], axis=1)
-    mat = mode_matrix(w2, m if side == "ker" else -m, k_max, 8, False)
+    mat = mode_matrix(w2, m if side == "ker" else -m, k_max, False)
     if len(mat) == k_max + 1:  # square systems are stored reversed
         mat = mat[::-1, ::-1]
     stencil = stencil[: len(mat)]
@@ -437,16 +450,18 @@ def test_mode_system_rows_are_the_operator_stencil(w2, side, m):
 
 @pytest.mark.parametrize("a", [-3, -1, 0, 2])
 def test_boundary_row_is_the_tail_window_mean(w2, a):
-    """The constrained system's border pins the mean of c(k) over the tail
-    window k in [K - window + 1, K]: with the columns of a reversed (s = -1,
-    square) system put back in order, the border's support is exactly that
-    window, every entry 1/sqrt(window)."""
-    k_max, window = 128, 8
-    mat = mode_matrix(w2, a, k_max, window, True)
-    border = mat[-1, ::-1] if len(mat) == k_max + 2 else mat[-1]
-    np.testing.assert_array_equal(np.flatnonzero(border),
-                                  np.arange(k_max - window + 1, k_max + 1))
-    assert np.all(border[-window:] == window ** -0.5)
+    """The constrained system's border is the boundary value that
+    ``restrict`` reads, the mean over its tail window: with the columns of a
+    reversed (s = -1, square) system put back in order, the unit border row
+    dotted with any sequence c(k), k <= K, and divided by 4 is restrict's
+    value of c at that mode, at K = 128 and 512."""
+    rng = np.random.default_rng(a + 3)
+    for k_max in (128, 512):
+        mat = mode_matrix(w2, a, k_max, True)
+        border = mat[-1, ::-1] if len(mat) == k_max + 2 else mat[-1]
+        c = rng.standard_normal(k_max + 1) + 1j * rng.standard_normal(k_max + 1)
+        want = restrict(element(k_max, {a: c})).coeff(a)
+        assert border @ c / 4 == pytest.approx(want, rel=1e-14, abs=1e-15), k_max
 
 
 @settings(max_examples=150, deadline=None)
